@@ -5,9 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -146,6 +144,8 @@ def _sweep_range(args, config: dict) -> tuple[float, float, float]:
         lam_min, lam_max, step = float(lam_min), float(lam_max), float(step)
     except (TypeError, ValueError) as exc:
         raise ConfigError("sweep bounds and step must be numbers") from exc
+    if not all(math.isfinite(x) for x in (lam_min, lam_max, step)):
+        raise ConfigError("sweep bounds and step must be finite")
     if step <= 0:
         raise ConfigError("field 'lambda_step' must be positive")
     if lam_max < lam_min:
@@ -153,19 +153,6 @@ def _sweep_range(args, config: dict) -> tuple[float, float, float]:
     if lam_min < 0:
         raise ConfigError("field 'lambda_min' must be nonnegative")
     return lam_min, lam_max, step
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("CHRONOFRAC_THREADS")
-    if raw is None:
-        return min(8, os.cpu_count() or 1)
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError("CHRONOFRAC_THREADS must be a positive integer") from exc
-    if n < 1:
-        raise ConfigError("CHRONOFRAC_THREADS must be a positive integer")
-    return n
 
 
 def cmd_sweep(args) -> int:
@@ -180,24 +167,19 @@ def cmd_sweep(args) -> int:
     count = int(math.floor((lam_max - lam_min) / step + 1e-9)) + 1
     lams = [lam_min + k * step for k in range(count)]
 
-    def run(lam: float):
-        rep = picard_solve(replace(spec, lam=lam))
-        sup = max(abs(v) for v in rep.solution.values)
-        return (lam, rep.iterations, rep.residual, rep.q, rep.converged, sup)
-
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        results = list(pool.map(run, lams))
-
     rows = ["lambda,iterations,residual,q,converged,sup_norm"]
-    for lam, iters, residual, q, converged, sup in results:
-        flag = "true" if converged else "false"
+    bad = 0
+    for lam in lams:
+        rep = picard_solve(replace(spec, lam=lam))
+        bad += not rep.converged
+        flag = "true" if rep.converged else "false"
         rows.append(
-            f"{_fmt(lam)},{iters},{_fmt(residual)},{_fmt(q)},{flag},{_fmt(sup)}"
+            f"{_fmt(lam)},{rep.iterations},{_fmt(rep.residual)},{_fmt(rep.q)},"
+            f"{flag},{_fmt(rep.solution.norm_inf())}"
         )
     (out / "sweep.csv").write_text("\n".join(rows) + "\n")
 
-    bad = sum(1 for r in results if not r[4])
-    print(f"sweep: {len(results)} runs, {bad} without convergence")
+    print(f"sweep: {len(lams)} runs, {bad} without convergence")
     if args.strict and bad:
         print("sweep: non-convergence is fatal under --strict", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -227,7 +209,7 @@ def _case_observed(case: OracleCase) -> float:
 
         ts = TimeScale.from_points(params["points"])
         grid = build_grid(ts, 1.0)
-        g = GridFunction(grid, tuple(float(v) for v in params["values"]))
+        g = GridFunction(grid, params["values"])
         return frac_integral(g, float(params["alpha"]), float(params["t"]))
     if kind == "apply_k":
         spec = problem_from_json(params["problem"])

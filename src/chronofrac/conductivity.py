@@ -9,7 +9,7 @@ temperature is nonnegative, and iterates only dip below zero by rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,7 +19,6 @@ __all__ = [
     "ClampedAffine",
     "BoundedRational",
     "Table",
-    "eval_f",
     "model_from_json",
 ]
 
@@ -27,6 +26,12 @@ __all__ = [
 @dataclass(frozen=True)
 class ConductivityModel:
     """Base interface; families subclass and certify their constants."""
+
+    def __post_init__(self) -> None:
+        # a NaN or infinite parameter would certify NaN or inf constants
+        for field in fields(self):
+            if not np.isfinite(getattr(self, field.name)).all():
+                raise ValueError(f"conductivity parameter '{field.name}' must be finite")
 
     def constants(self) -> tuple[float, float, float]:
         """Certified ``(c1, c2, L)``: bounds and Lipschitz constant."""
@@ -47,11 +52,6 @@ class ConductivityModel:
         raise NotImplementedError
 
 
-def eval_f(model: ConductivityModel, u: float) -> float:
-    """Scalar conductivity at temperature ``u`` (clamped below at zero)."""
-    return model(u)
-
-
 @dataclass(frozen=True)
 class Constant(ConductivityModel):
     """Temperature-independent conductivity."""
@@ -59,6 +59,7 @@ class Constant(ConductivityModel):
     c: float
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.c > 0:
             raise ValueError("conductivity constant must be positive")
 
@@ -82,6 +83,7 @@ class ClampedAffine(ConductivityModel):
     hi: float
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not 0 < self.lo <= self.hi:
             raise ValueError("clamp band must satisfy 0 < lo <= hi")
 
@@ -115,6 +117,7 @@ class BoundedRational(ConductivityModel):
     scale: float
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not 0 < self.c1 <= self.c2:
             raise ValueError("bounds must satisfy 0 < c1 <= c2")
         if not self.scale > 0:
@@ -153,12 +156,13 @@ class Table(ConductivityModel):
         vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "values", vals)
+        super().__post_init__()
         if len(bps) != len(vals) or not bps:
             raise ValueError("table needs equally many breakpoints and values")
         if any(b <= a for a, b in zip(bps, bps[1:])):
             raise ValueError("table breakpoints must be strictly increasing")
-        if any(not np.isfinite(v) or v <= 0 for v in vals):
-            raise ValueError("table values must be finite and positive")
+        if any(v <= 0 for v in vals):
+            raise ValueError("table values must be positive")
 
     def constants(self) -> tuple[float, float, float]:
         vals = self.values

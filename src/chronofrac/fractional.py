@@ -26,13 +26,13 @@ from .timescale import Grid, GridFunction
 
 __all__ = [
     "FracOrder",
-    "KernelWeights",
     "CompositionReport",
     "gamma_fn",
     "kernel_weights",
     "frac_integral",
     "frac_integral_all",
     "frac_integral_operator",
+    "lower_matvec",
     "frac_derivative",
     "frac_derivative_all",
     "verify_composition",
@@ -129,23 +129,22 @@ def frac_integral_operator(grid: Grid, order: FracOrder | float) -> np.ndarray:
     return _weight_matrix(grid, _alpha_of(order))
 
 
-@dataclass(frozen=True)
-class KernelWeights:
-    """Quadrature weights against the singular kernel for one target node.
+def lower_matvec(w: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``w @ g`` for a lower-triangular ``w``, on the calling thread: 128-row
+    blocks skip the zero columns, and no BLAS thread stalls on a busy core."""
+    out = np.empty(len(g))
+    for r in range(0, len(g), 128):
+        out[r : r + 128] = np.vecdot(w[r : r + 128, : r + 128], g[: r + 128])
+    return out
 
-    ``weights[j]`` multiplies the sample at node ``j``; entries at nodes
-    past ``t`` are zero and every entry is nonnegative.
+
+def kernel_weights(grid: Grid, order: FracOrder | float, t: float) -> np.ndarray:
+    """Read-only weight row of the fractional integral at the grid node ``t``.
+
+    Entry ``j`` multiplies the sample at node ``j``; entries at nodes past
+    ``t`` are zero and every entry is nonnegative.
     """
-
-    t: float
-    weights: tuple[float, ...]
-
-
-def kernel_weights(grid: Grid, order: FracOrder | float, t: float) -> KernelWeights:
-    """Weight row of the fractional integral at the grid node ``t``."""
-    i = grid.index_of(t)
-    row = _weight_matrix(grid, _alpha_of(order))[i]
-    return KernelWeights(t=grid.nodes[i], weights=tuple(float(v) for v in row))
+    return _weight_matrix(grid, _alpha_of(order))[grid.index_of(t)]
 
 
 def frac_integral(g: GridFunction, order: FracOrder | float, t: float) -> float:
@@ -157,12 +156,12 @@ def frac_integral(g: GridFunction, order: FracOrder | float, t: float) -> float:
     """
     i = g.grid.index_of(t)
     row = _weight_matrix(g.grid, _alpha_of(order))[i]
-    return float(row[: i + 1] @ np.asarray(g.values[: i + 1], dtype=float))
+    return float(row[: i + 1] @ g.values[: i + 1])
 
 
 def frac_integral_all(g: GridFunction, order: FracOrder | float) -> np.ndarray:
     """Fractional integral of ``g`` at every grid node."""
-    return _weight_matrix(g.grid, _alpha_of(order)) @ g.to_array()
+    return lower_matvec(_weight_matrix(g.grid, _alpha_of(order)), g.values)
 
 
 def frac_derivative(g: GridFunction, order: FracOrder | float, t: float) -> float:
@@ -185,8 +184,7 @@ def frac_derivative(g: GridFunction, order: FracOrder | float, t: float) -> floa
 def frac_derivative_all(g: GridFunction, order: FracOrder | float) -> np.ndarray:
     """Fractional derivative at every node but the last."""
     f = frac_integral_all(g, 1.0 - _alpha_of(order))
-    x = np.asarray(g.grid.nodes, dtype=float)
-    return np.diff(f) / np.diff(x)
+    return np.diff(f) / np.diff(g.grid.nodes)
 
 
 @dataclass(frozen=True)
@@ -211,7 +209,7 @@ def verify_composition(g: GridFunction, order: FracOrder | float) -> Composition
     """
     alpha = _alpha_of(order)
     grid = g.grid
-    vals = g.to_array()
+    vals = g.values
 
     integ = GridFunction.from_array(grid, frac_integral_all(g, alpha))
     di = frac_derivative_all(integ, alpha)

@@ -24,8 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from .conductivity import ConductivityModel, model_from_json
-from .fractional import frac_integral_operator, gamma_fn
-from .timescale import Grid, GridFunction, TimeScale, build_grid, delta_integral
+from .fractional import frac_integral_operator, gamma_fn, lower_matvec
+from .timescale import Grid, GridFunction, TimeScale, build_grid
 
 __all__ = [
     "ProblemSpec",
@@ -69,18 +69,18 @@ class ProblemSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 0.5:
             raise ValueError("alpha must lie in (0, 0.5)")
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if int(self.max_iter) != self.max_iter or self.max_iter < 1:
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError("lambda must be nonnegative and finite")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
+        if not (1 <= self.max_iter < math.inf and int(self.max_iter) == self.max_iter):
             raise ValueError("max_iter must be an integer >= 1")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must lie in (0, 1]")
         if self.h_max is None:
             object.__setattr__(self, "h_max", self.span / DEFAULT_CELLS)
-        if not self.h_max > 0:
-            raise ValueError("h_max must be positive")
+        if not 0.0 < self.h_max < math.inf:
+            raise ValueError("h_max must be positive and finite")
 
     @property
     def span(self) -> float:
@@ -134,7 +134,7 @@ def problem_from_json(data: dict) -> ProblemSpec:
     if "max_iter" in data and data["max_iter"] is not None:
         try:
             kwargs["max_iter"] = int(data["max_iter"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError("field 'max_iter' must be an integer") from exc
     return ProblemSpec(**kwargs)
 
@@ -235,25 +235,14 @@ def denominator(spec: ProblemSpec, u: GridFunction) -> float:
     divides by anything small.
     """
     _check_grid(spec, u)
-    fv = spec.model.apply(u.to_array())
-    total = delta_integral(
-        GridFunction.from_array(spec.grid, fv), spec.timescale.t0, spec.timescale.T
-    )
-    return total**2
+    return spec.grid.window_integral(spec.model.apply(u.values)) ** 2
 
 
 def _apply_k_array(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
     fv = spec.model.apply(u)
-    den = (
-        delta_integral(
-            GridFunction.from_array(spec.grid, fv),
-            spec.timescale.t0,
-            spec.timescale.T,
-        )
-        ** 2
-    )
+    den = spec.grid.window_integral(fv) ** 2
     w = frac_integral_operator(spec.grid, 2.0 * spec.alpha)
-    return spec.lam * (w @ fv) / den
+    return spec.lam * lower_matvec(w, fv) / den
 
 
 def apply_K(spec: ProblemSpec, u: GridFunction) -> GridFunction:
@@ -263,10 +252,20 @@ def apply_K(spec: ProblemSpec, u: GridFunction) -> GridFunction:
     empty window) and is nonnegative whenever ``lam >= 0``.
     """
     _check_grid(spec, u)
-    return GridFunction.from_array(spec.grid, _apply_k_array(spec, u.to_array()))
+    return GridFunction(spec.grid, _apply_k_array(spec, u.values))
 
 
 # -- Picard iteration ------------------------------------------------------
+
+
+def _damped_contraction(theta: float, q: float) -> tuple[float, float]:
+    """Contraction constant ``q_theta = 1 - theta + theta * q`` of the damped
+    update ``(1 - theta) u + theta K(u)``, and its gap ``1 - q_theta``.
+
+    The gap is formed as ``theta * (1 - q)``, so a small ``theta`` cannot
+    round it to zero.
+    """
+    return 1.0 - theta + theta * q, theta * (1.0 - q)
 
 
 @dataclass(frozen=True)
@@ -274,8 +273,9 @@ class SolveReport:
     """Everything produced by one Picard run.
 
     ``trace[k]`` is the sup-norm update size at iteration ``k + 1``;
-    ``apriori_bound`` is the contraction-based error bound
-    ``q * trace[-1] / (1 - q)``, present only when ``q < 1``.
+    ``q`` is the Lipschitz constant of the solution operator, and
+    ``apriori_bound`` the error bound ``q_theta * trace[-1] / (1 - q_theta)``
+    of the damped update, present only when ``q < 1``.
     """
 
     solution: GridFunction
@@ -302,7 +302,7 @@ class SolveReport:
             "positive": self.positive,
             "solution": {
                 "t": list(self.solution.grid.nodes),
-                "u": list(self.solution.values),
+                "u": self.solution.values.tolist(),
             },
         }
 
@@ -320,7 +320,7 @@ def picard_solve(spec: ProblemSpec, u0: GridFunction | None = None) -> SolveRepo
         u = np.zeros(len(grid.nodes))
     else:
         _check_grid(spec, u0)
-        u = u0.to_array()
+        u = u0.values
     theta = spec.theta
     trace: list[float] = []
     converged = False
@@ -335,9 +335,10 @@ def picard_solve(spec: ProblemSpec, u0: GridFunction | None = None) -> SolveRepo
             break
     residual = float(np.max(np.abs(_apply_k_array(spec, u) - u)))
     q = contraction_constant(spec)
-    apriori = q * trace[-1] / (1.0 - q) if q < 1.0 else None
+    q_theta, gap = _damped_contraction(theta, q)
+    apriori = q_theta * trace[-1] / gap if q < 1.0 else None
     return SolveReport(
-        solution=GridFunction.from_array(grid, u),
+        solution=GridFunction(grid, u),
         iterations=len(trace),
         converged=converged,
         trace=tuple(trace),
@@ -404,12 +405,13 @@ def existence_diagnostics(
     Three checks: the sup norm against ``sup_bound``, the increments over
     all adjacent plus ``n_random_pairs`` random node pairs against the
     equicontinuity modulus, and the residual against the fixed-point
-    bound ``tol * (1 + q) / (1 - q)`` (skipped trivially when ``q >= 1``).
+    bound ``tol * (1 + q_theta) / (1 - q_theta)`` of the damped update
+    (skipped trivially when ``q >= 1``).
     The modulus applies exactly to operator images; the solution is one
     only up to the residual, so both checks carry that slack plus a
     rounding allowance.
     """
-    u = report.solution.to_array()
+    u = report.solution.values
     nodes = spec.grid.nodes
     n = len(nodes)
     eps = 1e-12 * (1.0 + float(np.max(np.abs(u))))
@@ -437,7 +439,8 @@ def existence_diagnostics(
     )
 
     if report.q < 1.0:
-        bnd_res = spec.tol * (1.0 + report.q) / (1.0 - report.q) + eps
+        q_theta, gap = _damped_contraction(spec.theta, report.q)
+        bnd_res = spec.tol * (1.0 + q_theta) / gap + eps
     else:
         bnd_res = math.inf
     res_check = DiagnosticCheck(

@@ -227,6 +227,30 @@ class Grid:
     def __len__(self) -> int:
         return len(self.nodes)
 
+    @cached_property
+    def _cell_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        # cell j = [nodes[j], nodes[j + 1]) contributes
+        # left[j] * g[j] + right[j] * g[j + 1]: trapezoid halves on a
+        # continuous cell, the graininess and nothing on a scattered one
+        width = np.diff(self.nodes)
+        gap = np.array(self.gap_after, dtype=bool)
+        left = np.where(gap, width, 0.5 * width)
+        right = np.where(gap, 0.0, 0.5 * width)
+        left.setflags(write=False)
+        right.setflags(write=False)
+        return left, right
+
+    def window_integral(self, values: np.ndarray, i: int = 0, j: int | None = None) -> float:
+        """Delta integral of node samples over [nodes[i], nodes[j]).
+
+        ``j`` defaults to the last node, so the default window is the
+        whole scale [t0, T).
+        """
+        left, right = self._cell_weights
+        if j is None:
+            j = len(self.nodes) - 1
+        return float(left[i:j] @ values[i:j] + right[i:j] @ values[i + 1 : j + 1])
+
 
 def build_grid(ts: TimeScale, h_max: float) -> Grid:
     """Uniformly subdivide each continuous component of ``ts``.
@@ -247,46 +271,48 @@ def build_grid(ts: TimeScale, h_max: float) -> Grid:
     return Grid(ts, tuple(nodes), float(h_max))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """Real samples at the grid nodes.
 
     Inside continuous intervals the samples are read as the piecewise
-    linear interpolant; at scattered nodes they are point values.  Values
-    must be finite.
+    linear interpolant; at scattered nodes they are point values.
+    ``values`` is a read-only float array with one finite entry per node.
     """
 
     grid: Grid
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", values)
-        if len(values) != len(self.grid.nodes):
+        values = np.array(self.values, dtype=float)
+        if values.shape != (len(self.grid.nodes),):
             raise ValueError("value count must match node count")
-        if not all(math.isfinite(v) for v in values):
+        if not np.isfinite(values).all():
             raise ValueError("grid function values must be finite")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def sample(cls, grid: Grid, fn: Callable[[float], float]) -> GridFunction:
-        return cls(grid, tuple(float(fn(t)) for t in grid.nodes))
+        return cls(grid, [fn(t) for t in grid.nodes])
 
     @classmethod
     def from_array(cls, grid: Grid, values) -> GridFunction:
-        return cls(grid, tuple(float(v) for v in np.asarray(values, dtype=float)))
+        return cls(grid, values)
 
     @classmethod
     def zeros(cls, grid: Grid) -> GridFunction:
-        return cls(grid, (0.0,) * len(grid.nodes))
+        return cls(grid, np.zeros(len(grid.nodes)))
 
     def to_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=float)
+        """A writable copy of the samples."""
+        return self.values.copy()
 
     def value_at(self, t: float) -> float:
-        return self.values[self.grid.index_of(t)]
+        return float(self.values[self.grid.index_of(t)])
 
     def norm_inf(self) -> float:
-        return max(abs(v) for v in self.values)
+        return float(np.max(np.abs(self.values)))
 
 
 def delta_integral(g: GridFunction, a: float, b: float) -> float:
@@ -314,14 +340,4 @@ def delta_integral(g: GridFunction, a: float, b: float) -> float:
     ib = grid.index_of(b)
     if ia > ib:
         raise ValueError("integration bounds must satisfy a <= b")
-    nodes = grid.nodes
-    vals = g.values
-    gaps = grid.gap_after
-    total = 0.0
-    for j in range(ia, ib):
-        w = nodes[j + 1] - nodes[j]
-        if gaps[j]:
-            total += vals[j] * w
-        else:
-            total += 0.5 * (vals[j] + vals[j + 1]) * w
-    return total
+    return grid.window_integral(g.values, ia, ib)

@@ -8,7 +8,6 @@ from chronofrac.conductivity import (
     ClampedAffine,
     Constant,
     Table,
-    eval_f,
     model_from_json,
 )
 
@@ -80,7 +79,35 @@ def test_vectorized_matches_scalar(model):
     out = model.apply(u)
     assert out.shape == u.shape
     for ui, fi in zip(u, out):
-        assert fi == eval_f(model, float(ui))
+        assert fi == model(float(ui))
+
+
+@pytest.mark.parametrize(
+    "build,field",
+    [
+        (lambda: Constant(float("inf")), "c"),
+        (lambda: ClampedAffine(base=float("nan"), slope=1.0, lo=1.0, hi=2.0), "base"),
+        (lambda: ClampedAffine(base=1.0, slope=float("nan"), lo=1.0, hi=2.0), "slope"),
+        (lambda: ClampedAffine(base=1.0, slope=1.0, lo=1.0, hi=float("inf")), "hi"),
+        (lambda: BoundedRational(c1=1.0, c2=float("inf"), scale=0.5), "c2"),
+        (lambda: BoundedRational(c1=1.0, c2=2.0, scale=float("inf")), "scale"),
+        (lambda: Table(breakpoints=(0.0, float("nan")), values=(1.0, 2.0)), "breakpoints"),
+        (lambda: Table(breakpoints=(0.0, 1.0), values=(1.0, float("inf"))), "values"),
+    ],
+    ids=[
+        "Constant.c",
+        "ClampedAffine.base",
+        "ClampedAffine.slope",
+        "ClampedAffine.hi",
+        "BoundedRational.c2",
+        "BoundedRational.scale",
+        "Table.breakpoints",
+        "Table.values",
+    ],
+)
+def test_non_finite_parameters_rejected(build, field):
+    with pytest.raises(ValueError, match=f"'{field}' must be finite"):
+        build()
 
 
 # -- structural bounds -----------------------------------------------------

@@ -17,6 +17,7 @@ from chronofrac import (
     kernel_weights,
     verify_composition,
 )
+from chronofrac.fractional import lower_matvec
 from chronofrac.oracles import (
     brute_force_discrete,
     brute_force_discrete_derivative,
@@ -154,8 +155,8 @@ def test_weights_nonnegative_and_supported_before_t():
         grid = build_grid(ts, float(rng.uniform(0.05, 0.4)))
         alpha = float(rng.uniform(0.05, 0.95))
         i = int(rng.integers(1, len(grid.nodes)))
-        kw = kernel_weights(grid, alpha, grid.nodes[i])
-        w = np.array(kw.weights)
+        w = kernel_weights(grid, alpha, grid.nodes[i])
+        assert not w.flags.writeable
         assert np.all(w >= 0.0)
         assert np.all(w[i + 1 :] == 0.0)
 
@@ -164,8 +165,7 @@ def test_weight_row_reproduces_integral():
     grid = build_grid(TimeScale(((0.0, 1.0), (2.0, 2.0), (3.0, 3.5))), 0.25)
     g = GridFunction.sample(grid, lambda t: math.sin(t) + 2.0)
     t = grid.nodes[-1]
-    kw = kernel_weights(grid, 0.3, t)
-    dot = float(np.asarray(kw.weights) @ g.to_array())
+    dot = float(kernel_weights(grid, 0.3, t) @ g.values)
     assert abs(dot - frac_integral(g, 0.3, t)) <= 1e-14
 
 
@@ -175,12 +175,12 @@ def test_scattered_cell_weight_is_exact_kernel_term():
     ts = TimeScale.integers(0, 4)
     grid = build_grid(ts, 1.0)
     alpha = 0.3
-    kw = kernel_weights(grid, alpha, 3.0)
+    w = kernel_weights(grid, alpha, 3.0)
     for j in range(3):
         expected = (3.0 - j) ** (alpha - 1.0) / math.gamma(alpha)
-        assert abs(kw.weights[j] - expected) <= 1e-15
-    assert kw.weights[3] == 0.0
-    assert kw.weights[4] == 0.0
+        assert abs(w[j] - expected) <= 1e-15
+    assert w[3] == 0.0
+    assert w[4] == 0.0
 
 
 def test_operator_matrix_cached_and_read_only():
@@ -190,6 +190,15 @@ def test_operator_matrix_cached_and_read_only():
     assert w1 is w2
     with pytest.raises(ValueError):
         w1[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+def test_lower_matvec_matches_dense_product(n):
+    # the row blocks must cover every row, including a short last block
+    rng = np.random.default_rng(n)
+    w = np.tril(rng.uniform(0.0, 1.0, (n, n)))
+    g = rng.uniform(-1.0, 1.0, n)
+    np.testing.assert_allclose(lower_matvec(w, g), w @ g, rtol=1e-13, atol=1e-13)
 
 
 # -- fractional derivative -------------------------------------------------

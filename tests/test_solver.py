@@ -1,10 +1,12 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from chronofrac import (
+    BoundedRational,
     ClampedAffine,
     Constant,
     GridFunction,
@@ -23,6 +25,7 @@ from chronofrac import (
     uniqueness_threshold,
 )
 from chronofrac.oracles import constant_f_solution
+from conftest import make_scale
 
 GAMMA_3_2 = math.gamma(1.5)
 
@@ -53,6 +56,13 @@ def canonical_spec(lam: float, **kw) -> ProblemSpec:
         ({"theta": 0.0}, "theta must lie in"),
         ({"theta": 1.5}, "theta must lie in"),
         ({"h_max": -1.0}, "h_max must be positive"),
+        ({"alpha": math.nan}, "alpha must lie in"),
+        ({"lam": math.nan}, "lambda must be nonnegative and finite"),
+        ({"lam": math.inf}, "lambda must be nonnegative and finite"),
+        ({"tol": math.nan}, "tol must be positive and finite"),
+        ({"max_iter": math.inf}, "max_iter must be an integer >= 1"),
+        ({"theta": math.nan}, "theta must lie in"),
+        ({"h_max": math.inf}, "h_max must be positive and finite"),
     ],
 )
 def test_problem_rejections(kw, msg):
@@ -93,6 +103,8 @@ def test_problem_from_json_errors():
         problem_from_json({**good, "alpha": "abc"})
     with pytest.raises(ValueError, match="field 'max_iter' must be an integer"):
         problem_from_json({**good, "max_iter": "soon"})
+    with pytest.raises(ValueError, match="field 'max_iter' must be an integer"):
+        problem_from_json({**good, "max_iter": math.inf})
     with pytest.raises(ValueError, match="must be a JSON object"):
         problem_from_json([1, 2])
 
@@ -279,6 +291,33 @@ def test_picard_damped_reaches_same_fixed_point():
     assert damped.iterations > plain.iterations
     gap = np.abs(damped.solution.to_array() - plain.solution.to_array())
     assert float(np.max(gap)) <= 1e-9
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.5, 0.1])
+def test_damped_picard_certificates_hold(theta):
+    # the damped update (1 - theta) u + theta K(u) contracts only with
+    # q_theta = 1 - theta + theta q, so both certificates must use q_theta
+    rng = np.random.default_rng(17)
+    scales = [TimeScale.interval(0.0, 1.0)] + [make_scale(rng) for _ in range(3)]
+    for ts in scales:
+        base = ProblemSpec(
+            timescale=ts,
+            alpha=0.25,
+            lam=1.0,
+            model=BoundedRational(c1=1.0, c2=2.0, scale=0.5),
+            h_max=(ts.T - ts.t0) / 128,
+            theta=theta,
+            max_iter=2000,
+        )
+        spec = replace(base, lam=0.5 * uniqueness_threshold(base))
+        report = picard_solve(spec)
+        reference = picard_solve(replace(spec, theta=1.0, tol=1e-15))
+        assert report.converged and reference.converged
+        assert report.q == contraction_constant(spec)
+        err = float(np.max(np.abs(report.solution.values - reference.solution.values)))
+        assert err <= report.apriori_bound + reference.apriori_bound
+        checks = {c.name: c for c in existence_diagnostics(spec, report).checks}
+        assert checks["residual"].passed
 
 
 def test_picard_custom_start_and_grid_check():

@@ -215,7 +215,16 @@ def test_grid_function_validation():
         GridFunction(grid, (1.0, 2.0))
     with pytest.raises(ValueError, match="finite"):
         GridFunction(grid, (1.0, math.nan, 2.0))
+    with pytest.raises(ValueError, match="finite"):
+        GridFunction(grid, (1.0, 2.0, -math.inf))
     g = GridFunction.sample(grid, lambda t: 2.0 * t)
+    assert g.values.dtype == float and not g.values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        g.values[0] = 1.0
+    source = np.array([0.0, 1.0, 2.0])
+    h = GridFunction.from_array(grid, source)
+    source[0] = 9.0  # the samples are a copy, not a view of the caller's array
+    assert h.value_at(0.0) == 0.0
     assert g.value_at(0.5) == 1.0
     assert g.norm_inf() == 2.0
 
@@ -269,6 +278,25 @@ def test_delta_measure_of_windows():
         i, j = sorted(int(k) for k in rng.choice(n, size=2, replace=False))
         a, b = grid.nodes[i], grid.nodes[j]
         assert abs(delta_integral(one, a, b) - (b - a)) <= 1e-12 * max(1.0, b - a)
+
+
+def test_delta_integral_matches_cell_loop():
+    # the cached weight vectors against the plain per-cell sum; only the
+    # summation order differs, so agreement is to a few hundred ulps
+    rng = np.random.default_rng(19)
+    for _ in range(100):
+        ts = make_scale(rng)
+        grid = build_grid(ts, float(rng.uniform(0.05, 0.4)))
+        n = len(grid.nodes)
+        v = rng.uniform(-3.0, 3.0, n)
+        i, j = sorted(int(k) for k in rng.choice(n, size=2, replace=False))
+        loop = 0.0
+        for k in range(i, j):
+            w = grid.nodes[k + 1] - grid.nodes[k]
+            loop += v[k] * w if grid.gap_after[k] else 0.5 * (v[k] + v[k + 1]) * w
+        got = delta_integral(GridFunction(grid, v), grid.nodes[i], grid.nodes[j])
+        scale = 3.0 * (grid.nodes[j] - grid.nodes[i])
+        assert abs(got - loop) <= 1e-13 * max(1.0, scale)
 
 
 def test_delta_integral_additivity():
