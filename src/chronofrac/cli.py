@@ -6,11 +6,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
-from .fractional import gamma_fn, verify_composition
+from .fractional import OperatorTooLarge, gamma_fn, verify_composition
 from .oracles import (
     OracleCase,
     closed_form_power_integral,
@@ -35,6 +34,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VERIFY = 2
 EXIT_NO_CONVERGENCE = 3
+MAX_SWEEP = 10_000  # most lambda values one sweep may run
 
 
 class ConfigError(Exception):
@@ -122,7 +122,7 @@ def cmd_threshold(args) -> int:
     return EXIT_OK
 
 
-def _sweep_range(args, config: dict) -> tuple[float, float, float]:
+def _sweep_range(args, config: dict) -> list[float]:
     section = config.get("sweep", {}) if isinstance(config, dict) else {}
     if not isinstance(section, dict):
         raise ConfigError("field 'sweep' must be an object")
@@ -152,7 +152,11 @@ def _sweep_range(args, config: dict) -> tuple[float, float, float]:
         raise ConfigError("field 'lambda_max' must be at least lambda_min")
     if lam_min < 0:
         raise ConfigError("field 'lambda_min' must be nonnegative")
-    return lam_min, lam_max, step
+    span = (lam_max - lam_min) / step
+    if not span < MAX_SWEEP:
+        raise ConfigError(f"sweep range must give at most {MAX_SWEEP} lambda values")
+    count = int(math.floor(span + 1e-9)) + 1
+    return [lam_min + k * step for k in range(count)]
 
 
 def cmd_sweep(args) -> int:
@@ -161,16 +165,13 @@ def cmd_sweep(args) -> int:
         spec = problem_from_json(config)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    lam_min, lam_max, step = _sweep_range(args, config)
+    lams = _sweep_range(args, config)
     out = _out_dir(args)
-
-    count = int(math.floor((lam_max - lam_min) / step + 1e-9)) + 1
-    lams = [lam_min + k * step for k in range(count)]
 
     rows = ["lambda,iterations,residual,q,converged,sup_norm"]
     bad = 0
     for lam in lams:
-        rep = picard_solve(replace(spec, lam=lam))
+        rep = picard_solve(spec.at_lambda(lam))
         bad += not rep.converged
         flag = "true" if rep.converged else "false"
         rows.append(
@@ -379,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OperatorTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -27,6 +27,8 @@ from .timescale import Grid, GridFunction
 __all__ = [
     "FracOrder",
     "CompositionReport",
+    "KernelOperator",
+    "OperatorTooLarge",
     "gamma_fn",
     "kernel_weights",
     "frac_integral",
@@ -87,46 +89,185 @@ def _power_difference(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def _weight_matrix(grid: Grid, alpha: float) -> np.ndarray:
-    """Dense lower-triangular product-integration weights.
+# An interval of at least this many nodes is its own operator segment;
+# shorter components merge into dense runs, where an FFT would not pay.
+MIN_SEGMENT = 128
+# ulps of the node magnitude by which a uniform lattice's nodes may stray
+UNIFORM_ULPS = 16
+DENSE_CAP = 2 * 2**30  # bytes of dense blocks above which an operator is refused
 
-    Row ``i`` holds quadrature weights against the kernel
-    ``(t_i - s)**(alpha - 1) / gamma(alpha)`` so that ``W @ g`` evaluates
-    the fractional integral at every node at once.  Row 0 is empty: the
-    integral over the empty window is zero.
-    """
-    x = np.asarray(grid.nodes, dtype=float)
-    n = x.size
-    w = np.zeros((n, n))
+
+class OperatorTooLarge(ValueError):
+    """The dense blocks of a kernel operator would exceed ``DENSE_CAP``."""
+
+
+def _trapezoid_weights(a, b, h, alpha: float, inv_gamma: float):
+    # weights of g_j, g_{j+1} from the cell [x_j, x_j + h] at t = x_j + a = x_{j+1} + b
+    m0 = _power_difference(a, b, alpha) / alpha
+    m1 = a * m0 - _power_difference(a, b, alpha + 1.0) / (alpha + 1.0)
+    return (m0 - m1 / h) * inv_gamma, (m1 / h) * inv_gamma
+
+
+def _jump_weights(a, h, alpha: float, inv_gamma: float):
+    # the same for the scattered cell [x_j, sigma(x_j)) of width h
+    return a ** (alpha - 1.0) * h * inv_gamma, 0.0
+
+
+def _weight_columns(x, gaps, alpha: float, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+    """Weights of rows [r0, r1) at columns [c0, c1), one cell at a time;
+    on the whole grid, the dense reference assembly."""
+    w = np.zeros((r1 - r0, c1 - c0))
     inv_gamma = 1.0 / math.gamma(alpha)
-    gaps = grid.gap_after
-    for j in range(n - 1):
-        h = x[j + 1] - x[j]
-        a_dist = x[j + 1 :] - x[j]
+    # cell j adds to columns j and j + 1 in every row past x_j
+    for j in range(max(c0 - 1, 0), min(c1, r1 - 1)):
+        lo, h = max(r0, j + 1), x[j + 1] - x[j]
+        a_dist = x[lo:r1] - x[j]
         if gaps[j]:
-            w[j + 1 :, j] += a_dist ** (alpha - 1.0) * h * inv_gamma
+            left, right = _jump_weights(a_dist, h, alpha, inv_gamma)
         else:
-            b_dist = x[j + 1 :] - x[j + 1]
-            p0 = _power_difference(a_dist, b_dist, alpha)
-            p1 = _power_difference(a_dist, b_dist, alpha + 1.0)
-            m0 = p0 / alpha
-            m1 = a_dist * m0 - p1 / (alpha + 1.0)
-            w[j + 1 :, j] += (m0 - m1 / h) * inv_gamma
-            w[j + 1 :, j + 1] += (m1 / h) * inv_gamma
+            left, right = _trapezoid_weights(a_dist, x[lo:r1] - x[j + 1], h, alpha, inv_gamma)
+        if j >= c0:
+            w[lo - r0 :, j - c0] += left
+        if j + 1 < c1:
+            w[lo - r0 :, j + 1 - c0] += right
     # every weight is nonnegative in exact arithmetic; clamp the few that
     # round a hair below zero
-    np.maximum(w, 0.0, out=w)
-    w.setflags(write=False)
-    return w
+    return np.maximum(w, 0.0, out=w)
 
 
-def frac_integral_operator(grid: Grid, order: FracOrder | float) -> np.ndarray:
-    """Matrix mapping node samples to fractional-integral values.
+def _weight_row(x, gaps, alpha: float, i: int, c0: int, c1: int) -> np.ndarray:
+    """Weights of row ``i`` at columns [c0, c1), all cells at once."""
+    j = np.arange(max(c0 - 1, 0), max(min(c1, i), c0 - 1, 0))
+    a_dist, h, jump = x[i] - x[j], x[j + 1] - x[j], gaps[j]
+    inv_gamma = 1.0 / math.gamma(alpha)
+    left, right = _trapezoid_weights(a_dist, x[i] - x[j + 1], h, alpha, inv_gamma)
+    left[jump], right[jump] = _jump_weights(a_dist[jump], h[jump], alpha, inv_gamma)
+    # out[k] is column c0 - 1 + k: a cell reaches one column either side
+    out = np.zeros(c1 - c0 + 2)
+    out[j - c0 + 1] += left
+    out[j - c0 + 2] += right
+    return np.maximum(out[1:-1], 0.0)
 
-    The returned array is cached per (grid, order) and marked read-only.
+
+def _lattice_tol(x: np.ndarray) -> float:
+    return UNIFORM_ULPS * np.finfo(float).eps * max(abs(x[0]), abs(x[-1]))
+
+
+def _segments(x: np.ndarray, gaps: np.ndarray) -> list[tuple[int, int, float | None]]:
+    """``(start, stop, h)`` per segment: a long uniform interval with
+    spacing ``h``, or a maximal run of everything else with ``h = None``."""
+    starts = [0, *(np.flatnonzero(gaps) + 1).tolist()]
+    segs: list[tuple[int, int, float | None]] = []
+    for s, e in zip(starts, starts[1:] + [len(x)]):
+        h = (x[e - 1] - x[s]) / (e - s - 1) if e - s >= MIN_SEGMENT else None
+        if h and np.max(np.abs(x[s:e] - (np.arange(e - s) * h + x[s]))) > _lattice_tol(x[s:e]):
+            h = None
+        if h is None and segs and segs[-1][2] is None:
+            s = segs.pop()[0]
+        segs.append((s, e, h))
+    return segs
+
+
+class _DenseBlock:
+    """Explicit weights of rows [r0, r1) at columns [c0, c1)."""
+
+    def __init__(self, x, gaps, alpha, r0, r1, c0, c1):
+        self.r0, self.r1, self.c0, self.c1 = r0, r1, c0, c1
+        # loop over the shorter side: one row is one vectorised pass
+        if r1 - r0 >= c1 - c0:
+            self.w = _weight_columns(x, gaps, alpha, r0, r1, c0, c1)
+        else:
+            self.w = np.array([_weight_row(x, gaps, alpha, i, c0, c1) for i in range(r0, r1)])
+
+    def add_to(self, out: np.ndarray, g: np.ndarray) -> None:
+        gc = g[self.c0 : self.c1]
+        diagonal = (self.r0, self.r1) == (self.c0, self.c1)
+        out[self.r0 : self.r1] += lower_matvec(self.w, gc) if diagonal else np.vecdot(self.w, gc)
+
+
+class _ToeplitzBlock:
+    """Weights of rows [r0, r1) at columns [c0, c1) that depend only on the
+    row index minus the column index, applied by FFT convolution."""
+
+    def __init__(self, x, gaps, alpha, r0, r1, c0, c1):
+        self.r0, self.r1, self.c0, self.c1 = r0, r1, c0, c1
+        # generator from the exact first row and column: gen[d + c1 - c0 - 1]
+        # is the weight at row offset minus column offset d
+        row = _weight_row(x, gaps, alpha, r0, c0 + 1, c1)
+        col = _weight_columns(x, gaps, alpha, r0, r1, c0, c0 + 1)[:, 0]
+        gen = np.concatenate([row[::-1], col])
+        self.size = 1 << (len(gen) - 1).bit_length()
+        self.spectrum = np.fft.rfft(gen, self.size)
+
+    def add_to(self, out: np.ndarray, g: np.ndarray) -> None:
+        nc = self.c1 - self.c0
+        y = np.fft.irfft(np.fft.rfft(g[self.c0 : self.c1], self.size) * self.spectrum, self.size)
+        out[self.r0 : self.r1] += y[nc - 1 : nc - 1 + self.r1 - self.r0]
+
+
+class KernelOperator:
+    """Product-integration weights of the fractional integral on a grid.
+
+    Row ``i`` holds quadrature weights against the kernel
+    ``(t_i - s)**(alpha - 1) / gamma(alpha)``; the matrix is lower
+    triangular and row 0 is empty.  It is held by blocks between grid
+    segments: between uniform intervals of one spacing Toeplitz but for
+    the edge columns, with O(n) memory and an O(n log n) product; dense
+    and exact everywhere else, so on all of a scattered or fragmented
+    grid.  Arrays are read-only and reachable through attributes and lists.
     """
-    return _weight_matrix(grid, _alpha_of(order))
+
+    def __init__(self, grid: Grid, alpha: float):
+        x, gaps = np.array(grid.nodes), np.array(grid.gap_after)
+        segs = _segments(x, gaps)
+        plan = []
+        for r, (r0, r1, hr) in enumerate(segs):
+            for c0, c1, hc in segs[: r + 1]:
+                if hr and hc and abs(hr - hc) * (r1 - r0 + c1 - c0) <= _lattice_tol(x[c0:r1]):
+                    # one lattice: Toeplitz but for the first column and the
+                    # last, which carries the gap weight in rows past it
+                    plan += [
+                        (_DenseBlock, r0, r1, c0, c0 + 1),
+                        (_ToeplitzBlock, r0, r1, c0 + 1, c1 - 1),
+                        (_DenseBlock, r0, r1, c1 - 1, c1),
+                    ]
+                else:
+                    plan.append((_DenseBlock, r0, r1, c0, c1))
+        dense_bytes = sum(8 * (b[2] - b[1]) * (b[4] - b[3]) for b in plan if b[0] is _DenseBlock)
+        if dense_bytes > DENSE_CAP:
+            raise OperatorTooLarge(
+                f"the kernel operator on {len(x)} nodes needs {dense_bytes / 2**30:.3g} GiB "
+                f"of dense blocks, above the {DENSE_CAP / 2**30:.3g} GiB cap"
+            )
+        self.alpha, self.nodes, self.gaps = alpha, x, gaps
+        self.blocks = [kind(x, gaps, alpha, *span) for kind, *span in plan]
+        for arr in (x, gaps, *(a for b in self.blocks for a in vars(b).values())):
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+
+    def apply(self, g: np.ndarray) -> np.ndarray:
+        """The product ``W @ g``: the fractional integral at every node."""
+        out = np.zeros(len(self.nodes))
+        for block in self.blocks:
+            block.add_to(out, g)
+        out[0] = 0.0  # the empty window, exactly, whatever the FFT rounds to
+        return out
+
+    def row(self, i: int) -> np.ndarray:
+        """Read-only weight row ``i``, assembled exactly."""
+        w = _weight_row(self.nodes, self.gaps, self.alpha, i, 0, len(self.nodes))
+        w.setflags(write=False)
+        return w
+
+
+@lru_cache(maxsize=4)
+def frac_integral_operator(grid: Grid, order: FracOrder | float) -> KernelOperator:
+    """Operator mapping node samples to fractional-integral values, cached
+    per (grid, order).  The cache holds at most 4 operators of under 2 GiB
+    (``DENSE_CAP``) of dense blocks plus O(n) Toeplitz arrays each, so at
+    most about 8 GiB.  Raises ``OperatorTooLarge`` before allocating any
+    block when the dense blocks would pass the cap."""
+    return KernelOperator(grid, _alpha_of(order))
 
 
 def lower_matvec(w: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -144,7 +285,7 @@ def kernel_weights(grid: Grid, order: FracOrder | float, t: float) -> np.ndarray
     Entry ``j`` multiplies the sample at node ``j``; entries at nodes past
     ``t`` are zero and every entry is nonnegative.
     """
-    return _weight_matrix(grid, _alpha_of(order))[grid.index_of(t)]
+    return frac_integral_operator(grid, order).row(grid.index_of(t))
 
 
 def frac_integral(g: GridFunction, order: FracOrder | float, t: float) -> float:
@@ -155,13 +296,13 @@ def frac_integral(g: GridFunction, order: FracOrder | float, t: float) -> float:
     ``gamma(alpha)``.  The value at the first node is exactly zero.
     """
     i = g.grid.index_of(t)
-    row = _weight_matrix(g.grid, _alpha_of(order))[i]
+    row = frac_integral_operator(g.grid, order).row(i)
     return float(row[: i + 1] @ g.values[: i + 1])
 
 
 def frac_integral_all(g: GridFunction, order: FracOrder | float) -> np.ndarray:
     """Fractional integral of ``g`` at every grid node."""
-    return lower_matvec(_weight_matrix(g.grid, _alpha_of(order)), g.values)
+    return frac_integral_operator(g.grid, order).apply(g.values)
 
 
 def frac_derivative(g: GridFunction, order: FracOrder | float, t: float) -> float:

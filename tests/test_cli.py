@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from chronofrac import picard_solve, problem_from_json
+from chronofrac import fractional, picard_solve, problem_from_json, solver
 from chronofrac.cli import main
 
 CONSTANT_PROBLEM = {
@@ -231,13 +231,27 @@ def test_sweep_rejects_bad_step(tmp_path, capsys):
     assert "lambda_step" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--lambda-min", "--lambda-max", "--lambda-step"])
-def test_sweep_rejects_non_finite_range(tmp_path, capsys, flag):
+@pytest.mark.parametrize(
+    "values,message",
+    [
+        pytest.param({"--lambda-min": "nan"}, "must be finite", id="--lambda-min"),
+        pytest.param({"--lambda-max": "inf"}, "must be finite", id="--lambda-max"),
+        pytest.param({"--lambda-step": "nan"}, "must be finite", id="--lambda-step"),
+        # finite bounds whose lambda count overflows to inf
+        pytest.param(
+            {"--lambda-max": "1e300", "--lambda-step": "1e-300"},
+            "at most 10000 lambda values",
+            id="count",
+        ),
+    ],
+)
+def test_sweep_rejects_non_finite_range(tmp_path, capsys, values, message):
     cfg = write_config(tmp_path, AFFINE_PROBLEM)
     args = ["sweep", "--config", cfg, "--out", str(tmp_path / "out"), *SWEEP_FLAGS]
-    args[args.index(flag) + 1] = "inf" if flag == "--lambda-max" else "nan"
+    for flag, value in values.items():
+        args[args.index(flag) + 1] = value
     assert main(args) == 1
-    assert "must be finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_sweep_strict_non_convergence(tmp_path, capsys):
@@ -287,6 +301,40 @@ def test_sweep_rows_match_single_solves(tmp_path):
             "converged": "true" if rep.converged else "false",
             "sup_norm": repr(rep.solution.norm_inf()),
         }
+
+
+def test_sweep_builds_one_grid_and_one_operator(tmp_path, monkeypatch):
+    calls = {"grid": 0, "operator": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(solver, "build_grid", counted("grid", solver.build_grid))
+    monkeypatch.setattr(
+        fractional, "KernelOperator", counted("operator", fractional.KernelOperator)
+    )
+    fractional.frac_integral_operator.cache_clear()
+    cfg = write_config(tmp_path, AFFINE_PROBLEM)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"), *SWEEP_FLAGS]) == 0
+    assert len(read_csv(tmp_path / "out" / "sweep.csv")) == 7
+    assert calls == {"grid": 1, "operator": 1}
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_operator_over_memory_cap_exits_one(tmp_path, capsys, command):
+    # unequal spacings on two long intervals: a 3.1 GiB dense cross block
+    cfg = write_config(
+        tmp_path, {**AFFINE_PROBLEM, "time_scale": [[0.0, 1.0], [2.0, 3.5]], "h_max": 6e-5}
+    )
+    args = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+    assert main(args + (SWEEP_FLAGS if command == "sweep" else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "needs 3.1" in err
+    assert "Traceback" not in err
 
 
 # -- verify ----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,13 @@ from chronofrac import (
     kernel_weights,
     verify_composition,
 )
-from chronofrac.fractional import lower_matvec
+from chronofrac.fractional import (
+    KernelOperator,
+    OperatorTooLarge,
+    _segments,
+    _weight_columns,
+    lower_matvec,
+)
 from chronofrac.oracles import (
     brute_force_discrete,
     brute_force_discrete_derivative,
@@ -183,13 +190,117 @@ def test_scattered_cell_weight_is_exact_kernel_term():
     assert w[4] == 0.0
 
 
+def _reachable(obj, seen=None):
+    # every object reachable through attributes, lists, tuples and dicts,
+    # the walk the benchmark tracer sizes the operator with
+    seen = {} if seen is None else seen
+    if id(obj) in seen:
+        return seen
+    seen[id(obj)] = obj
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        children = list(obj)
+    elif isinstance(obj, np.ndarray):
+        children = []
+    else:
+        children = list(getattr(obj, "__dict__", {}).values())
+    for child in children:
+        _reachable(child, seen)
+    return seen
+
+
 def test_operator_matrix_cached_and_read_only():
-    grid = build_grid(TimeScale.interval(0.0, 1.0), 0.125)
+    grid = build_grid(TimeScale(((0.0, 1.0), (1.5, 1.5), (2.0, 2.5))), 1.0 / 256)
     w1 = frac_integral_operator(grid, 0.5)
     w2 = frac_integral_operator(grid, 0.5)
     assert w1 is w2
+    arrays = [a for a in _reachable(w1).values() if isinstance(a, np.ndarray)]
+    assert arrays and all(not a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
-        w1[0, 0] = 1.0
+        w1.nodes[0] = 1.0
+
+
+def test_operator_arrays_reachable_without_closures():
+    # the benchmark's fractional.operator_mib walks attributes, lists,
+    # tuples and dicts; an array held only by a closure would read as 0
+    grid = build_grid(TimeScale(((0.0, 1.0), (1.5, 1.5), (2.0, 2.5))), 1.0 / 256)
+    op = KernelOperator(grid, 0.5)
+    leaves = (np.ndarray, int, float, bool, str, type(None), np.floating)
+    for obj in _reachable(op).values():
+        assert not callable(obj)
+        assert isinstance(obj, leaves + (dict, list, tuple)) or hasattr(obj, "__dict__")
+    kinds = {type(b).__name__ for b in op.blocks}
+    assert kinds == {"_ToeplitzBlock", "_DenseBlock"}
+    nbytes = sum(a.nbytes for a in _reachable(op).values() if isinstance(a, np.ndarray))
+    assert nbytes >= sum(b.spectrum.nbytes for b in op.blocks if hasattr(b, "spectrum"))
+    assert nbytes < 8 * len(grid) ** 2 / 10  # far below the dense matrix
+
+
+def _long_interval_scale(rng: np.random.Generator, h: float) -> TimeScale:
+    # two to four intervals of 128 cells or more, each either an exact
+    # multiple of h (the spacing h) or not (a spacing just below h), with
+    # isolated points and short intervals between them
+    comps, cur = [], float(rng.uniform(-2.0, 2.0))
+    for _ in range(int(rng.integers(2, 5))):
+        cells = int(rng.integers(128, 320))
+        width = cells * h if rng.random() < 0.5 else (cells - rng.uniform(0.1, 0.9)) * h
+        comps.append((cur, cur + width))
+        cur += width + float(rng.uniform(0.1, 0.5))
+        for _ in range(int(rng.integers(0, 3))):
+            short = 0.0 if rng.random() < 0.5 else float(rng.uniform(2.0, 20.0)) * h
+            comps.append((cur, cur + short))
+            cur += short + float(rng.uniform(0.1, 0.5))
+    return TimeScale(tuple(comps))
+
+
+def test_structured_operator_matches_dense_reference():
+    rng = np.random.default_rng(2024)
+    seen = {"toeplitz_cross": 0, "dense_between_long": 0}
+    for _ in range(12):
+        h = float(rng.uniform(0.002, 0.01))
+        grid = build_grid(_long_interval_scale(rng, h), h)
+        alpha = float(rng.uniform(0.02, 0.98))
+        x = np.array(grid.nodes)
+        n = len(x)
+        dense = _weight_columns(x, np.array(grid.gap_after), alpha, 0, n, 0, n)
+        op = KernelOperator(grid, alpha)
+        long_starts = {s for s, e, hs in _segments(x, np.array(grid.gap_after)) if hs}
+        for b in op.blocks:
+            if hasattr(b, "spectrum"):
+                seen["toeplitz_cross"] += b.r0 >= b.c1
+            elif b.r0 > b.c0 and b.c1 - b.c0 > 1:
+                seen["dense_between_long"] += b.r0 in long_starts and b.c0 in long_starts
+        for g in (rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 2.0, n)):
+            y = op.apply(g)
+            ref = dense @ g
+            assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert y[0] == 0.0
+            assert op.apply(g).tobytes() == y.tobytes()
+        assert not op.row(0).any()
+        for i in rng.integers(0, n, 25).tolist() + [n - 1]:
+            row = op.row(i)
+            assert np.max(np.abs(row - dense[i])) <= 1e-12 * np.max(dense[i], initial=1.0)
+            assert np.all(row >= 0.0)
+        assert np.all(dense >= 0.0)
+        for b in op.blocks:
+            if hasattr(b, "w"):
+                assert np.all(b.w >= 0.0)
+    assert seen["toeplitz_cross"] > 0 and seen["dense_between_long"] > 0
+
+
+def test_operator_refuses_dense_blocks_over_the_cap():
+    # two long intervals of unequal spacing: their 25001 x 16668 cross
+    # block alone would need 3.1 GiB
+    grid = build_grid(TimeScale(((0.0, 1.0), (2.0, 3.5))), 6e-5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OperatorTooLarge, match=r"needs 3\.1\d* GiB .* above the 2 GiB cap"):
+            frac_integral_operator(grid, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])

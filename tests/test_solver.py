@@ -381,6 +381,45 @@ def test_diagnostics_pass_with_flat_conductivity():
     assert diag.checks[2].bound < math.inf
 
 
+def _diagnostics_by_pair_loop(spec, report, n_random_pairs=100, seed=0):
+    # the scalar loop existence_diagnostics ran before it was vectorised
+    u = report.solution.values
+    nodes = spec.grid.nodes
+    n = len(nodes)
+    eps = 1e-12 * (1.0 + float(np.max(np.abs(u))))
+    pairs = [(i, i + 1) for i in range(n - 1)]
+    rng = np.random.default_rng(seed)
+    for _ in range(n_random_pairs):
+        i = int(rng.integers(0, n - 1))
+        j = int(rng.integers(i + 1, n))
+        pairs.append((i, j))
+    slack = 2.0 * report.residual + eps
+    worst = -math.inf
+    for i, j in pairs:
+        incr = float(abs(u[j] - u[i]))
+        worst = max(worst, incr - equicontinuity_modulus(spec, nodes[i], nodes[j]))
+    return worst <= slack, worst, slack
+
+
+def test_vectorised_equicontinuity_matches_pair_loop():
+    rng = np.random.default_rng(31)
+    for _ in range(25):
+        spec = ProblemSpec(
+            timescale=make_scale(rng),
+            alpha=float(rng.uniform(0.05, 0.45)),
+            lam=0.0,
+            model=BoundedRational(1.0, float(rng.uniform(1.5, 3.0)), 0.5),
+            h_max=float(rng.uniform(0.01, 0.2)),
+        )
+        spec = spec.at_lambda(float(rng.uniform(0.1, 0.9)) * uniqueness_threshold(spec))
+        report = picard_solve(spec)
+        check = existence_diagnostics(spec, report).checks[1]
+        passed, observed, bound = _diagnostics_by_pair_loop(spec, report)
+        assert check.passed == passed
+        assert abs(check.observed - observed) <= 1e-15 * abs(observed)
+        assert abs(check.bound - bound) <= 1e-15 * abs(bound)
+
+
 def test_gap_increment_can_exceed_the_power_difference_modulus():
     # the increment bound compares fractional powers of elapsed time, so
     # over a late gap (large t1) the allowed increment is tiny even though
