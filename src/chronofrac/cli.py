@@ -9,7 +9,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .fractional import OperatorTooLarge, gamma_fn, verify_composition
+from .fractional import OperatorTooLarge, frac_integral, gamma_fn, verify_composition
 from .oracles import (
     OracleCase,
     closed_form_power_integral,
@@ -28,7 +28,7 @@ from .solver import (
     uniqueness_threshold,
 )
 from .conductivity import ClampedAffine, model_from_json
-from .timescale import GridFunction, TimeScale, build_grid
+from .timescale import GridFunction, GridTooLarge, TimeScale, build_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -63,9 +63,9 @@ def _load_json(path: str):
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_problem(path: str) -> ProblemSpec:
+def _load_problem(config) -> ProblemSpec:
     try:
-        return problem_from_json(_load_json(path))
+        return problem_from_json(config)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -90,7 +90,7 @@ def _write_report(out: Path, report) -> None:
 
 
 def cmd_solve(args) -> int:
-    spec = _load_problem(args.config)
+    spec = _load_problem(_load_json(args.config))
     out = _out_dir(args)
     report = picard_solve(spec)
     _write_report(out, report)
@@ -106,7 +106,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    spec = _load_problem(args.config)
+    spec = _load_problem(_load_json(args.config))
     out = _out_dir(args)
     c1, c2, lip = spec.model.constants()
     t1, t2 = contraction_terms(spec.alpha, spec.span, c1, c2, lip, spec.lam)
@@ -161,10 +161,7 @@ def _sweep_range(args, config: dict) -> list[float]:
 
 def cmd_sweep(args) -> int:
     config = _load_json(args.config)
-    try:
-        spec = problem_from_json(config)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = _load_problem(config)
     lams = _sweep_range(args, config)
     out = _out_dir(args)
 
@@ -198,16 +195,12 @@ def _case_observed(case: OracleCase) -> float:
     if kind == "gamma":
         return gamma_fn(float(params["x"]))
     if kind == "power_integral":
-        from .fractional import frac_integral
-
         ts = TimeScale.interval(0.0, float(params["T"]))
         grid = build_grid(ts, float(params["h_max"]))
         beta = float(params["beta"])
         g = GridFunction.sample(grid, lambda s: 1.0 if beta == 0.0 else s**beta)
         return frac_integral(g, float(params["alpha"]), float(params["t"]))
     if kind == "discrete_integral":
-        from .fractional import frac_integral
-
         ts = TimeScale.from_points(params["points"])
         grid = build_grid(ts, 1.0)
         g = GridFunction(grid, params["values"])
@@ -380,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, OperatorTooLarge) as exc:
+    except (ConfigError, GridTooLarge, OperatorTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -136,7 +136,7 @@ def _weight_columns(x, gaps, alpha: float, r0: int, r1: int, c0: int, c1: int) -
 
 
 def _weight_row(x, gaps, alpha: float, i: int, c0: int, c1: int) -> np.ndarray:
-    """Weights of row ``i`` at columns [c0, c1), all cells at once."""
+    """Read-only weights of row ``i`` at columns [c0, c1), all cells at once."""
     j = np.arange(max(c0 - 1, 0), max(min(c1, i), c0 - 1, 0))
     a_dist, h, jump = x[i] - x[j], x[j + 1] - x[j], gaps[j]
     inv_gamma = 1.0 / math.gamma(alpha)
@@ -146,7 +146,9 @@ def _weight_row(x, gaps, alpha: float, i: int, c0: int, c1: int) -> np.ndarray:
     out = np.zeros(c1 - c0 + 2)
     out[j - c0 + 1] += left
     out[j - c0 + 2] += right
-    return np.maximum(out[1:-1], 0.0)
+    out = np.maximum(out[1:-1], 0.0)
+    out.setflags(write=False)
+    return out
 
 
 def _lattice_tol(x: np.ndarray) -> float:
@@ -218,7 +220,7 @@ class KernelOperator:
     """
 
     def __init__(self, grid: Grid, alpha: float):
-        x, gaps = np.array(grid.nodes), np.array(grid.gap_after)
+        x, gaps = grid.nodes, grid.gap_after
         segs = _segments(x, gaps)
         plan = []
         for r, (r0, r1, hr) in enumerate(segs):
@@ -241,7 +243,7 @@ class KernelOperator:
             )
         self.alpha, self.nodes, self.gaps = alpha, x, gaps
         self.blocks = [kind(x, gaps, alpha, *span) for kind, *span in plan]
-        for arr in (x, gaps, *(a for b in self.blocks for a in vars(b).values())):
+        for arr in (a for b in self.blocks for a in vars(b).values()):
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
 
@@ -255,9 +257,7 @@ class KernelOperator:
 
     def row(self, i: int) -> np.ndarray:
         """Read-only weight row ``i``, assembled exactly."""
-        w = _weight_row(self.nodes, self.gaps, self.alpha, i, 0, len(self.nodes))
-        w.setflags(write=False)
-        return w
+        return _weight_row(self.nodes, self.gaps, self.alpha, i, 0, len(self.nodes))
 
 
 @lru_cache(maxsize=4)
@@ -283,9 +283,10 @@ def kernel_weights(grid: Grid, order: FracOrder | float, t: float) -> np.ndarray
     """Read-only weight row of the fractional integral at the grid node ``t``.
 
     Entry ``j`` multiplies the sample at node ``j``; entries at nodes past
-    ``t`` are zero and every entry is nonnegative.
+    ``t`` are zero and every entry is nonnegative.  Builds no operator.
     """
-    return frac_integral_operator(grid, order).row(grid.index_of(t))
+    i = grid.index_of(t)
+    return _weight_row(grid.nodes, grid.gap_after, _alpha_of(order), i, 0, len(grid))
 
 
 def frac_integral(g: GridFunction, order: FracOrder | float, t: float) -> float:
@@ -294,9 +295,11 @@ def frac_integral(g: GridFunction, order: FracOrder | float, t: float) -> float:
     Evaluates the delta integral of ``(t - s)**(alpha - 1) * g(s)`` over
     the window from the start of the scale to ``t``, divided by
     ``gamma(alpha)``.  The value at the first node is exactly zero.
+    Evaluates one weight row and builds no operator.
     """
-    i = g.grid.index_of(t)
-    row = frac_integral_operator(g.grid, order).row(i)
+    grid = g.grid
+    i = grid.index_of(t)
+    row = _weight_row(grid.nodes, grid.gap_after, _alpha_of(order), i, 0, len(grid))
     return float(row[: i + 1] @ g.values[: i + 1])
 
 

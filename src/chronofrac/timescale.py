@@ -10,8 +10,7 @@ graininess-weighted sums at the right-scattered points.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -19,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "SNAP",
+    "GridTooLarge",
     "TimeScale",
     "Grid",
     "GridFunction",
@@ -29,6 +29,26 @@ __all__ = [
 # Absolute tolerance for snapping query points onto interval endpoints and
 # grid nodes, so boundary lookups never miss by a rounding error.
 SNAP = 1e-12
+# Most nodes ``build_grid`` lays down.  A solve peaks at about 400 bytes
+# per node (414 MiB for 1e6 nodes on one interval, output files included),
+# so the cap keeps a solve near the 2 GiB the kernel operator may spend on
+# dense blocks; the 1e6-node uniform grid builds with five times room.
+MAX_NODES = 5_000_000
+
+
+class GridTooLarge(ValueError):
+    """``build_grid`` would lay down more than ``MAX_NODES`` nodes."""
+
+
+def _snap_index(lo: np.ndarray, hi: np.ndarray, t) -> np.ndarray:
+    """Per point of ``t``, the index of the last sorted closed range
+    ``[lo, hi]`` starting at or below ``t + SNAP``, when ``t`` lies in it
+    up to ``SNAP``; -1 otherwise."""
+    t = np.asarray(t, dtype=float)
+    i = lo.searchsorted(t + SNAP, side="right") - 1
+    # i = -1 reads the last range, and the i >= 0 term masks it
+    on = (lo[i] - SNAP <= t) & (t <= hi[i] + SNAP) & (i >= 0)
+    return (i + 1) * on - 1
 
 
 @dataclass(frozen=True)
@@ -75,24 +95,25 @@ class TimeScale:
         return self.components[-1][1]
 
     @cached_property
-    def _lowers(self) -> tuple[float, ...]:
-        return tuple(lo for lo, _ in self.components)
+    def _bounds(self) -> np.ndarray:
+        """Read-only ``(k, 2)`` array of the ``[lo, hi]`` components."""
+        bounds = np.array(self.components)
+        bounds.setflags(write=False)
+        return bounds
+
+    def _component_of(self, t) -> np.ndarray:
+        # component index per point of t, snapping onto endpoints; -1 off the scale
+        return _snap_index(self._bounds[:, 0], self._bounds[:, 1], t)
 
     def _component_index(self, t: float) -> int:
-        i = bisect_right(self._lowers, t + SNAP) - 1
-        if i >= 0:
-            lo, hi = self.components[i]
-            if lo - SNAP <= t <= hi + SNAP:
-                return i
-        raise ValueError(f"t={t!r} is not a point of the time scale")
+        i = int(self._component_of(t))
+        if i < 0:
+            raise ValueError(f"t={t!r} is not a point of the time scale")
+        return i
 
     def contains(self, t: float) -> bool:
         """Membership test, snapping onto endpoints within ``SNAP``."""
-        try:
-            self._component_index(t)
-        except ValueError:
-            return False
-        return True
+        return bool(self._component_of(t) >= 0)
 
     __contains__ = contains
 
@@ -162,67 +183,68 @@ class TimeScale:
         return cls(comps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Discretization nodes over a time scale.
 
     Every component endpoint is a node, every node lies on the scale, and
     consecutive nodes inside a continuous interval are at most ``h_max``
     apart.  Consequently each consecutive node pair spans either a cell of
-    an interval or exactly one scattered jump, never a mixture.
+    an interval or exactly one scattered jump, never a mixture.  ``nodes``
+    (a copy of the input) and ``gap_after`` are read-only arrays; a gap
+    flag is True when the open cell from a node to the next lies outside
+    the scale, i.e. the node is right-scattered.  Grids compare by value.
     """
 
     timescale: TimeScale
-    nodes: tuple[float, ...]
+    nodes: np.ndarray
     h_max: float
+    gap_after: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        nodes = tuple(float(t) for t in self.nodes)
+        nodes = np.array(self.nodes, dtype=float)
+        nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "h_max", float(self.h_max))
-        if self.h_max <= 0:
+        if not self.h_max > 0:
             raise ValueError("h_max must be positive")
-        if len(nodes) < 2:
+        if nodes.ndim != 1 or len(nodes) < 2:
             raise ValueError("grid needs at least two nodes")
-        if any(b <= a for a, b in zip(nodes, nodes[1:])):
+        width = nodes[1:] - nodes[:-1]
+        if (width <= 0).any():
             raise ValueError("grid nodes must be strictly increasing")
         ts = self.timescale
         if abs(nodes[0] - ts.t0) > SNAP or abs(nodes[-1] - ts.T) > SNAP:
             raise ValueError("grid must span the whole time scale")
-        for t in nodes:
-            if not ts.contains(t):
-                raise ValueError(f"grid node {t!r} lies outside the time scale")
-        for lo, hi in ts.components:
-            if not (self.has_node(lo) and self.has_node(hi)):
-                raise ValueError("every component endpoint must be a grid node")
-        for a, b, gap in zip(nodes, nodes[1:], self.gap_after):
-            if not gap and b - a > self.h_max * (1.0 + 1e-9) + SNAP:
-                raise ValueError("cell wider than h_max inside an interval")
+        off = ts._component_of(nodes) < 0
+        if off.any():
+            raise ValueError(f"grid node {nodes[off][0].item()!r} lies outside the time scale")
+        if (_snap_index(nodes, nodes, ts._bounds) < 0).any():
+            raise ValueError("every component endpoint must be a grid node")
+        gap = ts._component_of(0.5 * (nodes[:-1] + nodes[1:])) < 0
+        gap.setflags(write=False)
+        object.__setattr__(self, "gap_after", gap)
+        if (~gap & (width > self.h_max * (1.0 + 1e-9) + SNAP)).any():
+            raise ValueError("cell wider than h_max inside an interval")
 
-    @cached_property
-    def gap_after(self) -> tuple[bool, ...]:
-        """Per consecutive node pair: True when the open interval between
-        them lies outside the scale, i.e. the left node is right-scattered."""
-        ts = self.timescale
-        return tuple(
-            not ts.contains(0.5 * (a + b))
-            for a, b in zip(self.nodes, self.nodes[1:])
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            isinstance(other, Grid)
+            and (self.timescale, self.h_max) == (other.timescale, other.h_max)
+            and np.array_equal(self.nodes, other.nodes)
         )
+
+    def __hash__(self) -> int:
+        # O(1) in the node count: the operator cache hashes the grid on
+        # every application of K
+        return hash((self.timescale, self.h_max, len(self.nodes)))
 
     def index_of(self, t: float) -> int:
         """Index of the node equal to ``t`` up to the snap tolerance."""
-        i = bisect_right(self.nodes, t)
-        for j in (i - 1, i):
-            if 0 <= j < len(self.nodes) and abs(self.nodes[j] - t) <= SNAP:
-                return j
-        raise ValueError(f"t={t!r} is not a grid node")
-
-    def has_node(self, t: float) -> bool:
-        try:
-            self.index_of(t)
-        except ValueError:
-            return False
-        return True
+        j = int(_snap_index(self.nodes, self.nodes, t))
+        if j < 0:
+            raise ValueError(f"t={t!r} is not a grid node")
+        return j
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -233,9 +255,8 @@ class Grid:
         # left[j] * g[j] + right[j] * g[j + 1]: trapezoid halves on a
         # continuous cell, the graininess and nothing on a scattered one
         width = np.diff(self.nodes)
-        gap = np.array(self.gap_after, dtype=bool)
-        left = np.where(gap, width, 0.5 * width)
-        right = np.where(gap, 0.0, 0.5 * width)
+        left = np.where(self.gap_after, width, 0.5 * width)
+        right = np.where(self.gap_after, 0.0, 0.5 * width)
         left.setflags(write=False)
         right.setflags(write=False)
         return left, right
@@ -257,18 +278,20 @@ def build_grid(ts: TimeScale, h_max: float) -> Grid:
 
     Each nondegenerate interval gets the smallest uniform subdivision with
     spacing at most ``h_max``; isolated points contribute themselves.  The
-    interval endpoints are reproduced exactly.
+    interval endpoints are reproduced exactly.  Raises ``GridTooLarge``
+    before allocating anything when the grid would pass ``MAX_NODES``.
     """
-    if h_max <= 0:
+    if not h_max > 0:
         raise ValueError("h_max must be positive")
-    nodes: list[float] = []
-    for lo, hi in ts.components:
-        if hi == lo:
-            nodes.append(lo)
-        else:
-            n = max(1, math.ceil((hi - lo) / h_max - SNAP))
-            nodes.extend(np.linspace(lo, hi, n + 1).tolist())
-    return Grid(ts, tuple(nodes), float(h_max))
+    lo, hi = ts._bounds.T
+    cells = np.where(hi > lo, np.maximum(1.0, np.ceil((hi - lo) / h_max - SNAP)), 0.0)
+    count = float(cells.sum()) + len(cells)
+    if not count <= MAX_NODES:
+        raise GridTooLarge(
+            f"h_max={h_max!r} gives a grid of {count:.7g} nodes, above the {MAX_NODES} node cap"
+        )
+    parts = [np.linspace(a, b, int(n) + 1) for a, b, n in zip(lo, hi, cells)]
+    return Grid(ts, np.concatenate(parts), float(h_max))
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,7 +317,7 @@ class GridFunction:
 
     @classmethod
     def sample(cls, grid: Grid, fn: Callable[[float], float]) -> GridFunction:
-        return cls(grid, [fn(t) for t in grid.nodes])
+        return cls(grid, [fn(t) for t in grid.nodes.tolist()])
 
     @classmethod
     def from_array(cls, grid: Grid, values) -> GridFunction:

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -335,6 +336,25 @@ def test_operator_over_memory_cap_exits_one(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "needs 3.1" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_grid_over_node_cap_exits_one(tmp_path, capsys, command):
+    # 1e12 nodes: refused from the count, before any array is allocated
+    cfg = write_config(tmp_path, {**AFFINE_PROBLEM, "h_max": 1e-12})
+    args = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+    tracemalloc.start()
+    try:
+        code = main(args + (SWEEP_FLAGS if command == "sweep" else []))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and peak < 4 * 2**20
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "1e+12 nodes" in err
+    assert "Traceback" not in err
+    # threshold needs no grid, so the same config succeeds there
+    assert main(["threshold", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 # -- verify ----------------------------------------------------------------

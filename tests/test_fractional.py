@@ -14,6 +14,7 @@ from chronofrac import (
     frac_integral,
     frac_integral_all,
     frac_integral_operator,
+    fractional,
     gamma_fn,
     kernel_weights,
     verify_composition,
@@ -174,6 +175,29 @@ def test_weight_row_reproduces_integral():
     t = grid.nodes[-1]
     dot = float(kernel_weights(grid, 0.3, t) @ g.values)
     assert abs(dot - frac_integral(g, 0.3, t)) <= 1e-14
+
+
+def test_single_node_evaluation_builds_no_operator(monkeypatch):
+    # a one-node value needs one row, not the operator over the whole grid
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return KernelOperator(*args)
+
+    monkeypatch.setattr(fractional, "KernelOperator", counted)
+    frac_integral_operator.cache_clear()
+    rng = np.random.default_rng(29)
+    grid = build_grid(make_scale(rng), 0.02)
+    g = GridFunction.from_array(grid, rng.uniform(0.5, 2.0, len(grid)))
+    i = len(grid) - 2
+    t = grid.nodes[i]
+    value = frac_integral(g, 0.4, t)
+    row = kernel_weights(grid, 0.4, t)
+    assert builds == []
+    assert np.array_equal(row, frac_integral_operator(grid, 0.4).row(i))
+    assert value == float(row[: i + 1] @ g.values[: i + 1])
+    assert len(builds) == 1
 
 
 def test_scattered_cell_weight_is_exact_kernel_term():

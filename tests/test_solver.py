@@ -13,11 +13,13 @@ from chronofrac import (
     ProblemSpec,
     TimeScale,
     apply_K,
+    build_grid,
     contraction_constant,
     contraction_terms,
     denominator,
     equicontinuity_modulus,
     existence_diagnostics,
+    frac_integral_operator,
     picard_solve,
     problem_from_json,
     sup_bound,
@@ -421,10 +423,10 @@ def test_vectorised_equicontinuity_matches_pair_loop():
 
 
 def test_gap_increment_can_exceed_the_power_difference_modulus():
-    # the increment bound compares fractional powers of elapsed time, so
-    # over a late gap (large t1) the allowed increment is tiny even though
-    # the jump term in the integral is not; the diagnostics must report
-    # such a violation rather than smooth it over
+    # over a late gap the jump term of the integral is large, while the
+    # power difference (t2 - t0)**(2a) - (t1 - t0)**(2a) of elapsed times
+    # is tiny: the increment exceeds that, but not the concavity modulus
+    # (t2 - t1)**(2a), and the diagnostics pass
     spec = ProblemSpec(
         timescale=TimeScale(((0.0, 9.0), (10.0, 10.0))),
         alpha=0.25,
@@ -435,11 +437,58 @@ def test_gap_increment_can_exceed_the_power_difference_modulus():
     assert report.converged and report.residual == 0.0
     u = report.solution
     incr = abs(u.value_at(10.0) - u.value_at(9.0))
-    mod = equicontinuity_modulus(spec, 9.0, 10.0)
-    assert incr > 2.0 * mod  # genuinely violated, not a rounding artifact
+    # the modulus over a unit step is the bare scale factor
+    power_difference = equicontinuity_modulus(spec, 0.0, 1.0) * (10.0**0.5 - 9.0**0.5)
+    assert incr > 2.0 * power_difference  # not a rounding artifact
+    assert incr <= equicontinuity_modulus(spec, 9.0, 10.0)
     diag = existence_diagnostics(spec, report)
-    by_name = {c.name: c for c in diag.checks}
-    assert by_name["sup_norm"].passed
-    assert by_name["residual"].passed
-    assert not by_name["equicontinuity"].passed
-    assert not diag.passed
+    assert [c.name for c in diag.checks if c.passed] == ["sup_norm", "equicontinuity", "residual"]
+    assert diag.passed
+
+
+def test_equicontinuity_modulus_bounds_every_node_pair():
+    # the modulus bounds the increments of every operator image, whatever
+    # the profile, over every node pair of random mixed scales; and the
+    # diagnostics of a converged solve pass
+    rng = np.random.default_rng(47)
+    for _ in range(40):
+        spec = ProblemSpec(
+            timescale=make_scale(rng),
+            alpha=float(rng.uniform(0.05, 0.45)),
+            lam=float(rng.uniform(0.1, 2.0)),
+            model=BoundedRational(1.0, float(rng.uniform(1.5, 3.0)), 0.5),
+            h_max=float(rng.uniform(0.02, 0.2)),
+        )
+        grid = spec.grid
+        u = GridFunction(grid, rng.uniform(-3.0, 3.0, len(grid)))
+        ku = apply_K(spec, u).values
+        c1, c2, _ = spec.model.constants()
+        scale = spec.lam * c2 / ((c1 * spec.span) ** 2 * math.gamma(2.0 * spec.alpha + 1.0))
+        i, j = np.triu_indices(len(grid), k=1)
+        mod = scale * (grid.nodes[j] - grid.nodes[i]) ** (2.0 * spec.alpha)
+        picks = rng.integers(0, len(i), 20)
+        lib = [equicontinuity_modulus(spec, grid.nodes[i[k]], grid.nodes[j[k]]) for k in picks]
+        np.testing.assert_allclose(lib, mod[picks], rtol=1e-14)
+        slack = 1e-12 * (1.0 + np.max(np.abs(ku)))
+        assert np.all(np.abs(ku[j] - ku[i]) <= mod + slack)
+        spec = spec.at_lambda(0.5 * uniqueness_threshold(spec))
+        assert existence_diagnostics(spec, picard_solve(spec)).passed
+
+
+def test_grids_from_separate_builds_are_one_grid():
+    # value equality: a grid rebuilt from the same scale and h_max is the
+    # problem grid, hashes alike and hits the same cached operator
+    spec = ProblemSpec(
+        timescale=TimeScale(((0.0, 1.0), (1.5, 1.5), (2.0, 2.5))),
+        alpha=0.25,
+        lam=0.05,
+        model=Constant(1.0),
+        h_max=0.01,
+    )
+    rebuilt = build_grid(spec.timescale, spec.h_max)
+    assert rebuilt is not spec.grid
+    assert rebuilt == spec.grid and hash(rebuilt) == hash(spec.grid)
+    assert frac_integral_operator(rebuilt, 0.5) is frac_integral_operator(spec.grid, 0.5)
+    ku = apply_K(spec, GridFunction.zeros(rebuilt))
+    assert ku.values[0] == 0.0 and np.all(ku.values[1:] > 0.0)
+    assert build_grid(spec.timescale, 0.02) != spec.grid

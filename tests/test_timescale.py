@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chronofrac import SNAP, Grid, GridFunction, TimeScale, build_grid, delta_integral
+from chronofrac.timescale import GridTooLarge
 from conftest import make_scale
 
 
@@ -148,21 +149,21 @@ def test_jump_operator_algebra(ts, data):
 
 def test_build_grid_interval():
     grid = build_grid(TimeScale.interval(0.0, 1.0), 0.5)
-    assert grid.nodes == (0.0, 0.5, 1.0)
-    assert grid.gap_after == (False, False)
+    assert grid.nodes.tolist() == [0.0, 0.5, 1.0]
+    assert grid.gap_after.tolist() == [False, False]
 
 
 def test_build_grid_discrete():
     grid = build_grid(TimeScale.integers(0, 3), 10.0)
-    assert grid.nodes == (0.0, 1.0, 2.0, 3.0)
-    assert grid.gap_after == (True, True, True)
+    assert grid.nodes.tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert grid.gap_after.tolist() == [True, True, True]
 
 
 def test_build_grid_mixed():
     ts = TimeScale(((0.0, 1.0), (2.0, 2.0)))
     grid = build_grid(ts, 1.0)
-    assert grid.nodes == (0.0, 1.0, 2.0)
-    assert grid.gap_after == (False, True)
+    assert grid.nodes.tolist() == [0.0, 1.0, 2.0]
+    assert grid.gap_after.tolist() == [False, True]
 
 
 def test_build_grid_spacing_cap():
@@ -184,12 +185,46 @@ def test_build_grid_keeps_endpoints_exact():
 def test_build_grid_rejects_bad_h():
     with pytest.raises(ValueError, match="h_max"):
         build_grid(TimeScale.interval(0.0, 1.0), 0.0)
+    # counted from the components before any node is laid down
+    with pytest.raises(GridTooLarge, match=r"1e\+12 nodes, above the 5000000 node cap"):
+        build_grid(TimeScale(((0.0, 1.0), (2.0, 2.0))), 1e-12)
 
 
 def test_grid_rejects_foreign_node():
     ts = TimeScale(((0.0, 1.0), (2.0, 3.0)))
     with pytest.raises(ValueError, match="outside"):
         Grid(ts, (0.0, 1.0, 1.5, 2.0, 3.0), 2.0)
+    with pytest.raises(ValueError, match="outside"):
+        Grid(ts, (0.0, 1.0, 1.0 + 2.0 * SNAP, 2.0, 3.0), 2.0)
+    with pytest.raises(ValueError, match="outside"):
+        Grid(ts, (0.0, 1.0, math.nan, 2.0, 3.0), 2.0)
+    # an endpoint within SNAP snaps onto the scale
+    grid = Grid(ts, (0.0, 1.0 + 0.5 * SNAP, 2.0, 3.0), 2.0)
+    assert grid.gap_after.tolist() == [False, True, False]
+
+
+def test_grid_arrays_read_only_and_copied():
+    source = np.array([0.0, 0.5, 1.0])
+    grid = Grid(TimeScale.interval(0.0, 1.0), source, 0.5)
+    source[1] = 0.25  # the nodes are a copy, not a view of the caller's array
+    assert grid.nodes.tolist() == [0.0, 0.5, 1.0]
+    assert grid.nodes.dtype == float and grid.gap_after.dtype == bool
+    for arr in (grid.nodes, grid.gap_after):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+def test_gap_after_marks_component_changes():
+    # a cell is a gap exactly when its two nodes lie in different components
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        ts = make_scale(rng)
+        grid = build_grid(ts, float(rng.uniform(0.05, 0.5)))
+        comp = [
+            next(k for k, (lo, hi) in enumerate(ts.components) if lo <= t <= hi)
+            for t in grid.nodes.tolist()
+        ]
+        assert grid.gap_after.tolist() == [a != b for a, b in zip(comp, comp[1:])]
 
 
 def test_grid_rejects_missing_endpoint():
