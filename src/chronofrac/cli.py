@@ -77,13 +77,14 @@ def _out_dir(args) -> Path:
 
 
 def _write_report(out: Path, report) -> None:
-    (out / "report.json").write_text(json.dumps(report.to_json(), indent=2) + "\n")
-    rows = ["t,u"]
-    rows += [
-        f"{_fmt(t)},{_fmt(u)}"
-        for t, u in zip(report.solution.grid.nodes, report.solution.values)
-    ]
-    (out / "solution.csv").write_text("\n".join(rows) + "\n")
+    # streamed: no whole-file string or list of rows is held beside the solve
+    with open(out / "report.json", "w") as fh:
+        json.dump(report.to_json(), fh, indent=2)
+        fh.write("\n")
+    with open(out / "solution.csv", "w") as fh:
+        fh.write("t,u\n")
+        nodes, values = report.solution.grid.nodes, report.solution.values
+        fh.writelines(f"{_fmt(t)},{_fmt(u)}\n" for t, u in zip(nodes, values))
     rows = ["k,d_k"]
     rows += [f"{k},{_fmt(d)}" for k, d in enumerate(report.trace, start=1)]
     (out / "trace.csv").write_text("\n".join(rows) + "\n")

@@ -77,76 +77,66 @@ def _alpha_of(order: FracOrder | float) -> float:
     return FracOrder(float(order)).alpha
 
 
-def _power_difference(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
-    # a**p - b**p for 0 <= b < a.  Far from the target node a and b are
-    # close and the direct difference cancels, so rewrite through expm1.
-    out = a**p
-    pos = b > 0.0
-    if np.any(pos):
-        ap = a[pos]
-        bp = b[pos]
-        out[pos] = bp**p * np.expm1(p * np.log1p((ap - bp) / bp))
-    return out
-
-
 # An interval of at least this many nodes is its own operator segment;
 # shorter components merge into dense runs, where an FFT would not pay.
 MIN_SEGMENT = 128
 # ulps of the node magnitude by which a uniform lattice's nodes may stray
 UNIFORM_ULPS = 16
 DENSE_CAP = 2 * 2**30  # bytes of dense blocks above which an operator is refused
+# entries per weight-assembly pass, which holds about a dozen temporaries of
+# this size: 2**16 raised the peak memory of a fragmented-grid solve by 5 MiB
+CHUNK = 2**14
 
 
 class OperatorTooLarge(ValueError):
     """The dense blocks of a kernel operator would exceed ``DENSE_CAP``."""
 
 
-def _trapezoid_weights(a, b, h, alpha: float, inv_gamma: float):
-    # weights of g_j, g_{j+1} from the cell [x_j, x_j + h] at t = x_j + a = x_{j+1} + b
-    m0 = _power_difference(a, b, alpha) / alpha
-    m1 = a * m0 - _power_difference(a, b, alpha + 1.0) / (alpha + 1.0)
-    return (m0 - m1 / h) * inv_gamma, (m1 / h) * inv_gamma
-
-
-def _jump_weights(a, h, alpha: float, inv_gamma: float):
-    # the same for the scattered cell [x_j, sigma(x_j)) of width h
-    return a ** (alpha - 1.0) * h * inv_gamma, 0.0
-
-
-def _weight_columns(x, gaps, alpha: float, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-    """Weights of rows [r0, r1) at columns [c0, c1), one cell at a time;
-    on the whole grid, the dense reference assembly."""
-    w = np.zeros((r1 - r0, c1 - c0))
+def _weights(x, gaps, alpha: float, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+    """Read-only weights of rows [r0, r1) at columns [c0, c1), by passes
+    over a block of rows and every cell that reaches the block."""
+    # column k of w is column c0 - 1 + k: a cell reaches one column either side
+    w = np.zeros((r1 - r0, c1 - c0 + 2))
+    j0, j1 = max(c0 - 1, 0), min(c1, r1 - 1)
     inv_gamma = 1.0 / math.gamma(alpha)
-    # cell j adds to columns j and j + 1 in every row past x_j
-    for j in range(max(c0 - 1, 0), min(c1, r1 - 1)):
-        lo, h = max(r0, j + 1), x[j + 1] - x[j]
-        a_dist = x[lo:r1] - x[j]
-        if gaps[j]:
-            left, right = _jump_weights(a_dist, h, alpha, inv_gamma)
-        else:
-            left, right = _trapezoid_weights(a_dist, x[lo:r1] - x[j + 1], h, alpha, inv_gamma)
-        if j >= c0:
-            w[lo - r0 :, j - c0] += left
-        if j + 1 < c1:
-            w[lo - r0 :, j + 1 - c0] += right
+    step = max(CHUNK // max(j1 - j0, 1), 1)
+    # rows up to x_{j0} are zero; a pass takes the cells left of its last row
+    for r in range(max(r0, j0 + 1), r1, step):
+        re = min(r + step, r1)
+        je = min(j1, re - 1)
+        # cell j adds to columns j and j + 1 in every row past x_j; the
+        # clamps zero a and b in the other rows and change no valid entry,
+        # since rounding is monotone
+        xi, xj, xk = x[r:re, None], x[j0:je], x[j0 + 1 : je + 1]
+        h = xk - xj
+        a = np.maximum(xi - xj, 0.0)
+        b = np.maximum(xi - xk, 0.0)
+        # kernel moments a**p - b**p through expm1, which does not cancel
+        # far from the target node where a and b are close
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lr = np.log1p((a - b) / b)
+            d0 = b**alpha * np.expm1(alpha * lr)
+            d1 = b ** (alpha + 1.0) * np.expm1((alpha + 1.0) * lr)
+        at = b == 0.0
+        d0[at] = a[at] ** alpha
+        d1[at] = a[at] ** (alpha + 1.0)
+        m0 = d0 / alpha
+        m1 = a * m0 - d1 / (alpha + 1.0)
+        m1 /= h
+        right = m1 * inv_gamma
+        left = (m0 - m1) * inv_gamma
+        # a scattered cell of width h is one graininess-weighted kernel term
+        jump = np.flatnonzero(gaps[j0:je])
+        aj = a[:, jump]
+        with np.errstate(divide="ignore"):
+            left[:, jump] = np.where(aj > 0.0, aj ** (alpha - 1.0), 0.0) * h[jump] * inv_gamma
+        right[:, jump] = 0.0
+        k = j0 - c0 + 1
+        w[r - r0 : re - r0, k : k + je - j0] += left
+        w[r - r0 : re - r0, k + 1 : k + 1 + je - j0] += right
     # every weight is nonnegative in exact arithmetic; clamp the few that
-    # round a hair below zero
-    return np.maximum(w, 0.0, out=w)
-
-
-def _weight_row(x, gaps, alpha: float, i: int, c0: int, c1: int) -> np.ndarray:
-    """Read-only weights of row ``i`` at columns [c0, c1), all cells at once."""
-    j = np.arange(max(c0 - 1, 0), max(min(c1, i), c0 - 1, 0))
-    a_dist, h, jump = x[i] - x[j], x[j + 1] - x[j], gaps[j]
-    inv_gamma = 1.0 / math.gamma(alpha)
-    left, right = _trapezoid_weights(a_dist, x[i] - x[j + 1], h, alpha, inv_gamma)
-    left[jump], right[jump] = _jump_weights(a_dist[jump], h[jump], alpha, inv_gamma)
-    # out[k] is column c0 - 1 + k: a cell reaches one column either side
-    out = np.zeros(c1 - c0 + 2)
-    out[j - c0 + 1] += left
-    out[j - c0 + 2] += right
-    out = np.maximum(out[1:-1], 0.0)
+    # round a hair below zero, in place, so the block is never copied
+    out = np.maximum(w, 0.0, out=w)[:, 1:-1]
     out.setflags(write=False)
     return out
 
@@ -175,11 +165,7 @@ class _DenseBlock:
 
     def __init__(self, x, gaps, alpha, r0, r1, c0, c1):
         self.r0, self.r1, self.c0, self.c1 = r0, r1, c0, c1
-        # loop over the shorter side: one row is one vectorised pass
-        if r1 - r0 >= c1 - c0:
-            self.w = _weight_columns(x, gaps, alpha, r0, r1, c0, c1)
-        else:
-            self.w = np.array([_weight_row(x, gaps, alpha, i, c0, c1) for i in range(r0, r1)])
+        self.w = _weights(x, gaps, alpha, r0, r1, c0, c1)
 
     def add_to(self, out: np.ndarray, g: np.ndarray) -> None:
         gc = g[self.c0 : self.c1]
@@ -195,8 +181,8 @@ class _ToeplitzBlock:
         self.r0, self.r1, self.c0, self.c1 = r0, r1, c0, c1
         # generator from the exact first row and column: gen[d + c1 - c0 - 1]
         # is the weight at row offset minus column offset d
-        row = _weight_row(x, gaps, alpha, r0, c0 + 1, c1)
-        col = _weight_columns(x, gaps, alpha, r0, r1, c0, c0 + 1)[:, 0]
+        row = _weights(x, gaps, alpha, r0, r0 + 1, c0 + 1, c1)[0]
+        col = _weights(x, gaps, alpha, r0, r1, c0, c0 + 1)[:, 0]
         gen = np.concatenate([row[::-1], col])
         self.size = 1 << (len(gen) - 1).bit_length()
         self.spectrum = np.fft.rfft(gen, self.size)
@@ -256,8 +242,12 @@ class KernelOperator:
         return out
 
     def row(self, i: int) -> np.ndarray:
-        """Read-only weight row ``i``, assembled exactly."""
-        return _weight_row(self.nodes, self.gaps, self.alpha, i, 0, len(self.nodes))
+        """Read-only weight row ``i``, assembled exactly; ``IndexError``
+        for ``i`` outside [0, n)."""
+        n = len(self.nodes)
+        if not 0 <= i < n:
+            raise IndexError(f"row {i} is outside the {n} rows of the operator")
+        return _weights(self.nodes, self.gaps, self.alpha, i, i + 1, 0, n)[0]
 
 
 @lru_cache(maxsize=4)
@@ -286,7 +276,7 @@ def kernel_weights(grid: Grid, order: FracOrder | float, t: float) -> np.ndarray
     ``t`` are zero and every entry is nonnegative.  Builds no operator.
     """
     i = grid.index_of(t)
-    return _weight_row(grid.nodes, grid.gap_after, _alpha_of(order), i, 0, len(grid))
+    return _weights(grid.nodes, grid.gap_after, _alpha_of(order), i, i + 1, 0, len(grid))[0]
 
 
 def frac_integral(g: GridFunction, order: FracOrder | float, t: float) -> float:
@@ -299,8 +289,8 @@ def frac_integral(g: GridFunction, order: FracOrder | float, t: float) -> float:
     """
     grid = g.grid
     i = grid.index_of(t)
-    row = _weight_row(grid.nodes, grid.gap_after, _alpha_of(order), i, 0, len(grid))
-    return float(row[: i + 1] @ g.values[: i + 1])
+    row = _weights(grid.nodes, grid.gap_after, _alpha_of(order), i, i + 1, 0, i + 1)[0]
+    return float(row @ g.values[: i + 1])
 
 
 def frac_integral_all(g: GridFunction, order: FracOrder | float) -> np.ndarray:
@@ -316,13 +306,15 @@ def frac_derivative(g: GridFunction, order: FracOrder | float, t: float) -> floa
     to ``sigma(t)`` is the exact delta derivative, at a right-dense node
     it is a first-order forward difference at grid resolution.  The last
     node has no neighbor to difference against and is rejected.
+    Evaluates two weight rows and builds no operator.
     """
     grid = g.grid
     i = grid.index_of(t)
     if i == len(grid.nodes) - 1:
         raise ValueError("frac_derivative needs a node after t")
-    f = frac_integral_all(g, 1.0 - _alpha_of(order))
-    return float((f[i + 1] - f[i]) / (grid.nodes[i + 1] - grid.nodes[i]))
+    w = _weights(grid.nodes, grid.gap_after, 1.0 - _alpha_of(order), i, i + 2, 0, i + 2)
+    f = w @ g.values[: i + 2]
+    return float((f[1] - f[0]) / (grid.nodes[i + 1] - grid.nodes[i]))
 
 
 def frac_derivative_all(g: GridFunction, order: FracOrder | float) -> np.ndarray:

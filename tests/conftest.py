@@ -1,7 +1,21 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import chronofrac
 from chronofrac import TimeScale
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _children_import_these_sources():
+    # tests that start `python -m chronofrac` must run the package they
+    # import, also from a checkout where it is not installed
+    src = str(Path(chronofrac.__file__).resolve().parents[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 def make_scale(rng: np.random.Generator, start: float | None = None) -> TimeScale:

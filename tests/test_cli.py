@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from chronofrac import fractional, picard_solve, problem_from_json, solver
@@ -355,6 +356,29 @@ def test_grid_over_node_cap_exits_one(tmp_path, capsys, command):
     assert "Traceback" not in err
     # threshold needs no grid, so the same config succeeds there
     assert main(["threshold", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_write_report_streams_its_files(tmp_path):
+    # a report of 1e5 nodes: writing it holds no list of row strings and
+    # no whole-file string beside the solution
+    from chronofrac.cli import _write_report
+    from chronofrac.timescale import GridFunction, TimeScale, build_grid
+
+    grid = build_grid(TimeScale.interval(0.0, 1.0), 1e-5)
+    u = GridFunction.from_array(grid, np.sin(grid.nodes) / 3.0)
+    report = solver.SolveReport(u, 3, True, (0.5, 1e-6, 1e-12), 0.4, 2.0, 1e-12, 1e-11, 1.0, True)
+    tracemalloc.start()
+    try:
+        _write_report(tmp_path, report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * len(grid)
+    assert json.loads((tmp_path / "report.json").read_text()) == report.to_json()
+    lines = (tmp_path / "solution.csv").read_text().splitlines()
+    assert lines[0] == "t,u" and len(lines) == len(grid) + 1
+    assert lines[-1] == f"{1.0!r},{float(u.values[-1])!r}"
+    assert (tmp_path / "trace.csv").read_text() == "k,d_k\n1,0.5\n2,1e-06\n3,1e-12\n"
 
 
 # -- verify ----------------------------------------------------------------

@@ -20,10 +20,11 @@ from chronofrac import (
     verify_composition,
 )
 from chronofrac.fractional import (
+    CHUNK,
     KernelOperator,
     OperatorTooLarge,
     _segments,
-    _weight_columns,
+    _weights,
     lower_matvec,
 )
 from chronofrac.oracles import (
@@ -32,6 +33,99 @@ from chronofrac.oracles import (
     closed_form_power_integral,
 )
 from conftest import make_scale
+
+
+# -- reference weights ----------------------------------------------------
+# The per-cell assembly the library used before its row-blocked one: the
+# same formulas, one Python loop pass per cell, independent of the passes
+# and clamps of ``fractional._weights``.
+
+
+def _power_difference(a, b, p):
+    # a**p - b**p for 0 <= b < a, through expm1 where b > 0
+    out = a**p
+    pos = b > 0.0
+    if np.any(pos):
+        ap = a[pos]
+        bp = b[pos]
+        out[pos] = bp**p * np.expm1(p * np.log1p((ap - bp) / bp))
+    return out
+
+
+def _trapezoid_weights(a, b, h, alpha, inv_gamma):
+    # weights of g_j, g_{j+1} from the cell [x_j, x_j + h] at t = x_j + a = x_{j+1} + b
+    m0 = _power_difference(a, b, alpha) / alpha
+    m1 = a * m0 - _power_difference(a, b, alpha + 1.0) / (alpha + 1.0)
+    return (m0 - m1 / h) * inv_gamma, (m1 / h) * inv_gamma
+
+
+def _jump_weights(a, h, alpha, inv_gamma):
+    # the same for the scattered cell [x_j, sigma(x_j)) of width h
+    return a ** (alpha - 1.0) * h * inv_gamma, 0.0
+
+
+def _weight_columns(x, gaps, alpha, r0, r1, c0, c1):
+    """Weights of rows [r0, r1) at columns [c0, c1), one cell at a time."""
+    w = np.zeros((r1 - r0, c1 - c0))
+    inv_gamma = 1.0 / math.gamma(alpha)
+    # cell j adds to columns j and j + 1 in every row past x_j
+    for j in range(max(c0 - 1, 0), min(c1, r1 - 1)):
+        lo, h = max(r0, j + 1), x[j + 1] - x[j]
+        a_dist = x[lo:r1] - x[j]
+        if gaps[j]:
+            left, right = _jump_weights(a_dist, h, alpha, inv_gamma)
+        else:
+            left, right = _trapezoid_weights(a_dist, x[lo:r1] - x[j + 1], h, alpha, inv_gamma)
+        if j >= c0:
+            w[lo - r0 :, j - c0] += left
+        if j + 1 < c1:
+            w[lo - r0 :, j + 1 - c0] += right
+    return np.maximum(w, 0.0, out=w)
+
+
+def _assert_weights_exact(grid, alpha, r0, r1, c0, c1):
+    w = _weights(grid.nodes, grid.gap_after, alpha, r0, r1, c0, c1)
+    assert w.shape == (r1 - r0, c1 - c0)
+    assert not w.flags.writeable
+    assert np.array_equal(w, _weight_columns(grid.nodes, grid.gap_after, alpha, r0, r1, c0, c1))
+
+
+def test_weights_match_cell_loop_on_every_block_shape():
+    # the same arithmetic in another order of passes: equal bit for bit
+    rng = np.random.default_rng(41)
+    isolated = 0
+    for _ in range(30):
+        ts = make_scale(rng)
+        isolated += any(lo == hi for lo, hi in ts.components)
+        grid = build_grid(ts, float(rng.uniform(0.004, 0.05)))
+        n = len(grid)
+        alpha = float(rng.uniform(0.02, 0.98))
+        blocks = [(0, n, 0, n), (0, 1, 0, n), (n - 1, n, 0, n), (0, n, 0, 1), (0, n, n - 1, n)]
+        for _ in range(12):
+            r0, r1 = sorted(rng.integers(0, n, 2).tolist())
+            c0, c1 = sorted(rng.integers(0, n, 2).tolist())
+            blocks.append((r0, r1 + 1, c0, c1 + 1))
+        tall = wide = 0
+        for r0, r1, c0, c1 in blocks:
+            tall += r1 - r0 > c1 - c0
+            wide += r1 - r0 < c1 - c0
+            _assert_weights_exact(grid, alpha, r0, r1, c0, c1)
+        assert tall and wide
+    assert isolated >= 10
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("c0", [0, 37])
+def test_weights_exact_across_the_pass_boundary(extra, c0):
+    # rows past every column: each pass holds CHUNK // cells rows, so these
+    # blocks end one row short of, on, and one row past a pass boundary
+    grid = build_grid(TimeScale(((0.0, 1.0), (1.5, 1.5), (1.75, 1.75), (2.0, 3.0))), 1.0 / 256)
+    c1 = c0 + 200
+    step = CHUNK // (c1 - max(c0 - 1, 0))
+    r0 = len(grid) - 2 * step - extra
+    assert r0 >= c1
+    _assert_weights_exact(grid, 0.37, r0, r0 + step + extra, c0, c1)
+    _assert_weights_exact(grid, 0.37, r0, len(grid), c0, c1)
 
 
 # -- gamma ----------------------------------------------------------------
@@ -200,6 +294,19 @@ def test_single_node_evaluation_builds_no_operator(monkeypatch):
     assert len(builds) == 1
 
 
+@pytest.mark.parametrize("which", ["-1", "n", "0"])
+def test_operator_row_checks_its_index(which):
+    grid = build_grid(TimeScale(((0.0, 1.0), (1.5, 1.5), (2.0, 2.5))), 0.01)
+    op = KernelOperator(grid, 0.5)
+    n = len(grid)
+    i = {"-1": -1, "n": n, "0": 0}[which]
+    if i == 0:
+        assert op.row(0).shape == (n,) and not op.row(0).any()
+    else:
+        with pytest.raises(IndexError, match=f"row {i} is outside the {n} rows"):
+            op.row(i)
+
+
 def test_scattered_cell_weight_is_exact_kernel_term():
     # on a fully discrete scale the weight of node j at target t is
     # (t - t_j)**(alpha - 1) * graininess / gamma(alpha)
@@ -285,11 +392,11 @@ def test_structured_operator_matches_dense_reference():
         h = float(rng.uniform(0.002, 0.01))
         grid = build_grid(_long_interval_scale(rng, h), h)
         alpha = float(rng.uniform(0.02, 0.98))
-        x = np.array(grid.nodes)
+        x = grid.nodes
         n = len(x)
-        dense = _weight_columns(x, np.array(grid.gap_after), alpha, 0, n, 0, n)
+        dense = _weight_columns(x, grid.gap_after, alpha, 0, n, 0, n)
         op = KernelOperator(grid, alpha)
-        long_starts = {s for s, e, hs in _segments(x, np.array(grid.gap_after)) if hs}
+        long_starts = {s for s, e, hs in _segments(x, grid.gap_after) if hs}
         for b in op.blocks:
             if hasattr(b, "spectrum"):
                 seen["toeplitz_cross"] += b.r0 >= b.c1
@@ -350,6 +457,30 @@ def test_derivative_needs_forward_neighbor():
     g = GridFunction.sample(grid, lambda t: t)
     with pytest.raises(ValueError, match="after t"):
         frac_derivative(g, 0.5, 1.0)
+
+
+def test_frac_derivative_builds_no_operator(monkeypatch):
+    # a one-node derivative needs two weight rows of the complementary order
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return KernelOperator(*args)
+
+    monkeypatch.setattr(fractional, "KernelOperator", counted)
+    frac_integral_operator.cache_clear()
+    rng = np.random.default_rng(37)
+    cases = []
+    for _ in range(12):
+        grid = build_grid(make_scale(rng), float(rng.uniform(0.01, 0.1)))
+        g = GridFunction.from_array(grid, rng.uniform(0.5, 2.0, len(grid)))
+        alpha = float(rng.uniform(0.05, 0.95))
+        idx = rng.integers(0, len(grid) - 1, 6).tolist() + [0, len(grid) - 2]
+        cases.append((g, alpha, idx, [frac_derivative(g, alpha, grid.nodes[i]) for i in idx]))
+    assert builds == []
+    for g, alpha, idx, values in cases:
+        ref = frac_derivative_all(g, alpha)[idx]
+        assert np.all(np.abs(np.array(values) - ref) <= 1e-12 * np.abs(ref))
 
 
 def test_derivative_discrete_matches_brute_force_difference():
