@@ -188,69 +188,81 @@ def cmd_sweep(args) -> int:
 # -- verify ----------------------------------------------------------------
 
 
+def _power_integral(params) -> float:
+    ts = TimeScale.interval(0.0, float(params["T"]))
+    grid = build_grid(ts, float(params["h_max"]))
+    beta = float(params["beta"])
+    g = GridFunction.sample(grid, lambda s: 1.0 if beta == 0.0 else s**beta)
+    return frac_integral(g, float(params["alpha"]), float(params["t"]))
+
+
+def _discrete_integral(params) -> float:
+    grid = build_grid(TimeScale.from_points(params["points"]), 1.0)
+    g = GridFunction(grid, params["values"])
+    return frac_integral(g, float(params["alpha"]), float(params["t"]))
+
+
+def _apply_k(params) -> float:
+    spec = problem_from_json(params["problem"])
+    return apply_K(spec, GridFunction.zeros(spec.grid)).value_at(float(params["t"]))
+
+
+def _sup_bound(params) -> float:
+    spec = ProblemSpec(
+        timescale=TimeScale.interval(0.0, float(params["T"])),
+        alpha=float(params["alpha"]),
+        lam=float(params["lambda"]),
+        model=ClampedAffine(
+            base=float(params["c1"]), slope=1.0, lo=float(params["c1"]), hi=float(params["c2"])
+        ),
+    )
+    return sup_bound(spec)
+
+
+def _constant_solution(params) -> float:
+    spec = problem_from_json(params["problem"])
+    rep = picard_solve(spec)
+    c = spec.model.constants()[0]
+    worst = 0.0
+    for t, u in zip(spec.grid.nodes, rep.solution.values):
+        exact = constant_f_solution(c, spec.lam, spec.alpha, spec.span, t - spec.timescale.t0)
+        worst = max(worst, abs(u - exact))
+    return worst
+
+
+def _extension_inequality(params) -> float:
+    ts = TimeScale.from_json(params["time_scale"])
+    grid = build_grid(ts, float(params.get("h_max", 1.0)))
+    g = GridFunction.sample(grid, lambda s: s)
+    # violation amount; zero when the bound holds
+    return max(0.0, -extension_gap(g))
+
+
+# the production-path quantity each kind of oracle case pins down
+_CASE_KINDS = {
+    "gamma": lambda params: gamma_fn(float(params["x"])),
+    "power_integral": _power_integral,
+    "discrete_integral": _discrete_integral,
+    "apply_k": _apply_k,
+    "threshold": lambda params: threshold_from_constants(
+        *(float(params[k]) for k in ("alpha", "T", "c1", "c2", "lipschitz"))
+    ),
+    "sup_bound": _sup_bound,
+    "constant_solution": _constant_solution,
+    "power_closed_form": lambda params: closed_form_power_integral(
+        *(float(params[k]) for k in ("alpha", "beta", "t"))
+    ),
+    "extension_inequality": _extension_inequality,
+}
+
+
 def _case_observed(case: OracleCase) -> float:
     """Evaluate the production-path quantity a case pins down."""
-    p = case.inputs
-    kind = p.get("kind")
-    params = p.get("params", {})
-    if kind == "gamma":
-        return gamma_fn(float(params["x"]))
-    if kind == "power_integral":
-        ts = TimeScale.interval(0.0, float(params["T"]))
-        grid = build_grid(ts, float(params["h_max"]))
-        beta = float(params["beta"])
-        g = GridFunction.sample(grid, lambda s: 1.0 if beta == 0.0 else s**beta)
-        return frac_integral(g, float(params["alpha"]), float(params["t"]))
-    if kind == "discrete_integral":
-        ts = TimeScale.from_points(params["points"])
-        grid = build_grid(ts, 1.0)
-        g = GridFunction(grid, params["values"])
-        return frac_integral(g, float(params["alpha"]), float(params["t"]))
-    if kind == "apply_k":
-        spec = problem_from_json(params["problem"])
-        ku = apply_K(spec, GridFunction.zeros(spec.grid))
-        return ku.value_at(float(params["t"]))
-    if kind == "threshold":
-        return threshold_from_constants(
-            float(params["alpha"]),
-            float(params["T"]),
-            float(params["c1"]),
-            float(params["c2"]),
-            float(params["lipschitz"]),
-        )
-    if kind == "sup_bound":
-        spec = ProblemSpec(
-            timescale=TimeScale.interval(0.0, float(params["T"])),
-            alpha=float(params["alpha"]),
-            lam=float(params["lambda"]),
-            model=ClampedAffine(
-                base=float(params["c1"]),
-                slope=1.0,
-                lo=float(params["c1"]),
-                hi=float(params["c2"]),
-            ),
-        )
-        return sup_bound(spec)
-    if kind == "constant_solution":
-        spec = problem_from_json(params["problem"])
-        rep = picard_solve(spec)
-        c = spec.model.constants()[0]
-        worst = 0.0
-        for t, u in zip(spec.grid.nodes, rep.solution.values):
-            exact = constant_f_solution(c, spec.lam, spec.alpha, spec.span, t - spec.timescale.t0)
-            worst = max(worst, abs(u - exact))
-        return worst
-    if kind == "power_closed_form":
-        return closed_form_power_integral(
-            float(params["alpha"]), float(params["beta"]), float(params["t"])
-        )
-    if kind == "extension_inequality":
-        ts = TimeScale.from_json(params["time_scale"])
-        grid = build_grid(ts, float(params.get("h_max", 1.0)))
-        g = GridFunction.sample(grid, lambda s: s)
-        # violation amount; zero when the bound holds
-        return max(0.0, -extension_gap(g))
-    raise ConfigError(f"case '{case.name}' has unknown kind '{kind}'")
+    kind = case.inputs.get("kind")
+    observe = _CASE_KINDS.get(kind) if isinstance(kind, str) else None
+    if observe is None:
+        raise ConfigError(f"case '{case.name}' has unknown kind '{kind}'")
+    return observe(case.inputs.get("params", {}))
 
 
 def _run_cases(cases: list[OracleCase]) -> tuple[list[str], int]:

@@ -18,7 +18,7 @@ error and sup-norm bounds that this module also exposes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -284,8 +284,13 @@ class SolveReport:
 
     ``trace[k]`` is the sup-norm update size at iteration ``k + 1``;
     ``q`` is the Lipschitz constant of the solution operator, and
-    ``apriori_bound`` the error bound ``q_theta * trace[-1] / (1 - q_theta)``
-    of the damped update, present only when ``q < 1``.
+    ``apriori_bound`` the error bound
+    ``(q_theta * trace[-1] + eps * sup_bound) / (1 - q_theta)`` of the damped
+    update against the fixed point of the exact-kernel operator, present
+    only when ``q < 1``.  ``operator`` is the kernel operator's
+    ``to_json()``; its ``eps`` is the relative kernel error of the far
+    field, which moves ``K(u)`` by at most ``eps * sup_bound``.
+    The solution itself is not serialised: ``solution.csv`` holds it.
     """
 
     solution: GridFunction
@@ -298,6 +303,7 @@ class SolveReport:
     apriori_bound: float | None
     sup_bound: float
     positive: bool
+    operator: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -310,10 +316,7 @@ class SolveReport:
             "apriori_bound": self.apriori_bound,
             "sup_bound": self.sup_bound,
             "positive": self.positive,
-            "solution": {
-                "t": self.solution.grid.nodes.tolist(),
-                "u": self.solution.values.tolist(),
-            },
+            "operator": self.operator,
         }
 
 
@@ -346,7 +349,9 @@ def picard_solve(spec: ProblemSpec, u0: GridFunction | None = None) -> SolveRepo
     residual = float(np.max(np.abs(_apply_k_array(spec, u) - u)))
     q = contraction_constant(spec)
     q_theta, gap = _damped_contraction(theta, q)
-    apriori = q_theta * trace[-1] / gap if q < 1.0 else None
+    operator = frac_integral_operator(grid, 2.0 * spec.alpha).to_json()
+    sup = sup_bound(spec)
+    apriori = (q_theta * trace[-1] + operator["eps"] * sup) / gap if q < 1.0 else None
     return SolveReport(
         solution=GridFunction(grid, u),
         iterations=len(trace),
@@ -356,8 +361,9 @@ def picard_solve(spec: ProblemSpec, u0: GridFunction | None = None) -> SolveRepo
         lambda_star=uniqueness_threshold(spec),
         residual=residual,
         apriori_bound=apriori,
-        sup_bound=sup_bound(spec),
+        sup_bound=sup,
         positive=bool(np.all(u >= 0.0)),
+        operator=operator,
     )
 
 
@@ -415,8 +421,9 @@ def existence_diagnostics(
     Three checks: the sup norm against ``sup_bound``, the increments over
     all adjacent plus ``n_random_pairs`` random node pairs against the
     equicontinuity modulus, and the residual against the fixed-point
-    bound ``tol * (1 + q_theta) / (1 - q_theta)`` of the damped update
-    (skipped trivially when ``q >= 1``).
+    bound ``(tol * (1 + q_theta) + eps * sup_bound) / (1 - q_theta)`` of the
+    damped update, with ``eps`` the report's kernel error (skipped
+    trivially when ``q >= 1``).
     The modulus applies exactly to operator images; the solution is one
     only up to the residual, so both checks carry that slack plus a
     rounding allowance.
@@ -448,7 +455,8 @@ def existence_diagnostics(
 
     if report.q < 1.0:
         q_theta, gap = _damped_contraction(spec.theta, report.q)
-        bnd_res = spec.tol * (1.0 + q_theta) / gap + eps
+        kernel = report.operator.get("eps", 0.0) * report.sup_bound
+        bnd_res = (spec.tol * (1.0 + q_theta) + kernel) / gap + eps
     else:
         bnd_res = math.inf
     res_check = DiagnosticCheck(

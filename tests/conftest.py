@@ -36,6 +36,28 @@ def make_scale(rng: np.random.Generator, start: float | None = None) -> TimeScal
             return TimeScale(tuple(comps))
 
 
+def fragmented_scale(rng: np.random.Generator, count: int) -> TimeScale:
+    """``count`` components, about half isolated points and half intervals
+    of width U(0.02, 0.1), with gaps of U(0.01, 0.05): no long interval."""
+    comps, cur = [], 0.0
+    for _ in range(count):
+        width = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.02, 0.1))
+        comps.append((cur, cur + width))
+        cur += width + float(rng.uniform(0.01, 0.05))
+    return TimeScale(tuple(comps))
+
+
+def over_cap_components() -> list[tuple[float, float]]:
+    """Ten runs of 120 isolated points, each before a unit interval: at
+    h_max = 4e-5 the thin dense blocks between the runs and the 25001-node
+    intervals need 2.29 GiB, above the operator cap."""
+    comps: list[tuple[float, float]] = []
+    for i in range(10):
+        comps += [(3.0 * i + 0.01 * k,) * 2 for k in range(120)]
+        comps.append((3.0 * i + 1.5, 3.0 * i + 2.5))
+    return comps
+
+
 @pytest.fixture
 def random_scale():
     return make_scale

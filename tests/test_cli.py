@@ -10,6 +10,7 @@ import pytest
 
 from chronofrac import fractional, picard_solve, problem_from_json, solver
 from chronofrac.cli import main
+from conftest import fragmented_scale, over_cap_components
 
 CONSTANT_PROBLEM = {
     "time_scale": [[0.0, 1.0]],
@@ -328,15 +329,53 @@ def test_sweep_builds_one_grid_and_one_operator(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 def test_operator_over_memory_cap_exits_one(tmp_path, capsys, command):
-    # unequal spacings on two long intervals: a 3.1 GiB dense cross block
+    # runs of isolated points against long intervals: 2.29 GiB of thin
+    # dense blocks
     cfg = write_config(
-        tmp_path, {**AFFINE_PROBLEM, "time_scale": [[0.0, 1.0], [2.0, 3.5]], "h_max": 6e-5}
+        tmp_path, {**AFFINE_PROBLEM, "time_scale": over_cap_components(), "h_max": 4e-5}
     )
     args = [command, "--config", cfg, "--out", str(tmp_path / "out")]
     assert main(args + (SWEEP_FLAGS if command == "sweep" else [])) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "needs 3.1" in err
+    assert err.startswith("error: ") and "needs 2.29 GiB" in err
     assert "Traceback" not in err
+
+
+def test_unequal_long_intervals_solve_in_memory_linear_in_n_terms(tmp_path):
+    # once refused for a 3.1 GiB dense cross block between the spacings
+    cfg = write_config(
+        tmp_path, {**AFFINE_PROBLEM, "time_scale": [[0.0, 1.0], [2.0, 3.5]], "h_max": 6e-5}
+    )
+    fractional.frac_integral_operator.cache_clear()
+    tracemalloc.start()
+    try:
+        code = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    n, terms = 41669, report["operator"]["soe_terms"]
+    assert report["converged"] and report["operator"]["blocks"]["exp"] == 1
+    assert 0 < terms < 128 and peak < 2 * 8 * n * terms
+
+
+def test_report_describes_the_operator(tmp_path):
+    # block counts, bytes, terms and kernel error: no timings, so the
+    # report stays byte-identical from run to run
+    rng = np.random.default_rng(17)
+    scale = [list(c) for c in fragmented_scale(rng, 100).components]
+    cfg = write_config(tmp_path, {**AFFINE_PROBLEM, "time_scale": scale, "h_max": 0.005})
+    for d in ("a", "b"):
+        fractional.frac_integral_operator.cache_clear()
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / d)]) == 0
+    text = (tmp_path / "a" / "report.json").read_bytes()
+    assert text == (tmp_path / "b" / "report.json").read_bytes()
+    op = json.loads(text)["operator"]
+    assert set(op) == {"blocks", "bytes", "soe_terms", "eps"}
+    assert op["blocks"] == {"toeplitz": 0, "dense": 0, "exp": 1}
+    assert op["soe_terms"] > 0 and 0.0 < op["eps"] < 1e-14 and op["bytes"] > 0
+    assert "solution" not in json.loads(text)
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])

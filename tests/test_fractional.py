@@ -21,9 +21,12 @@ from chronofrac import (
 )
 from chronofrac.fractional import (
     CHUNK,
+    MIN_SEGMENT,
     KernelOperator,
     OperatorTooLarge,
+    _ExpBlock,
     _segments,
+    _soe,
     _weights,
     lower_matvec,
 )
@@ -32,7 +35,7 @@ from chronofrac.oracles import (
     brute_force_discrete_derivative,
     closed_form_power_integral,
 )
-from conftest import make_scale
+from conftest import fragmented_scale, make_scale, over_cap_components
 
 
 # -- reference weights ----------------------------------------------------
@@ -385,12 +388,23 @@ def _long_interval_scale(rng: np.random.Generator, h: float) -> TimeScale:
     return TimeScale(tuple(comps))
 
 
-def test_structured_operator_matches_dense_reference():
-    rng = np.random.default_rng(2024)
-    seen = {"toeplitz_cross": 0, "dense_between_long": 0}
+def _reference_grids(rng):
+    # long intervals of equal and unequal spacing, then fragmented and
+    # discrete scales of three row blocks or more, which have no long interval
     for _ in range(12):
         h = float(rng.uniform(0.002, 0.01))
-        grid = build_grid(_long_interval_scale(rng, h), h)
+        yield build_grid(_long_interval_scale(rng, h), h)
+    for _ in range(4):
+        yield build_grid(fragmented_scale(rng, int(rng.integers(60, 120))), 0.005)
+    for _ in range(4):
+        pts = np.cumsum(rng.uniform(0.05, 1.5, int(rng.integers(300, 600))))
+        yield build_grid(TimeScale.from_points(pts.tolist()), 1.0)
+
+
+def test_structured_operator_matches_dense_reference():
+    rng = np.random.default_rng(2024)
+    seen = {"toeplitz_cross": 0, "dense_between_long": 0, "exp_diagonal": 0, "exp_cross": 0}
+    for grid in _reference_grids(rng):
         alpha = float(rng.uniform(0.02, 0.98))
         x = grid.nodes
         n = len(x)
@@ -398,10 +412,15 @@ def test_structured_operator_matches_dense_reference():
         op = KernelOperator(grid, alpha)
         long_starts = {s for s, e, hs in _segments(x, grid.gap_after) if hs}
         for b in op.blocks:
+            if isinstance(b, _ExpBlock):
+                seen["exp_cross" if b.r0 >= b.c1 else "exp_diagonal"] += 1
+                assert b.r1 - b.r0 > MIN_SEGMENT and b.c1 - b.c0 > MIN_SEGMENT
             if hasattr(b, "spectrum"):
                 seen["toeplitz_cross"] += b.r0 >= b.c1
             elif b.r0 > b.c0 and b.c1 - b.c0 > 1:
                 seen["dense_between_long"] += b.r0 in long_starts and b.c0 in long_starts
+        assert (op.eps > 0.0) == any(isinstance(b, _ExpBlock) for b in op.blocks)
+        assert op.eps < 1e-14
         for g in (rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 2.0, n)):
             y = op.apply(g)
             ref = dense @ g
@@ -414,24 +433,121 @@ def test_structured_operator_matches_dense_reference():
             assert np.max(np.abs(row - dense[i])) <= 1e-12 * np.max(dense[i], initial=1.0)
             assert np.all(row >= 0.0)
         assert np.all(dense >= 0.0)
+        # every weight, near or far, and every far-field factor is nonnegative
         for b in op.blocks:
-            if hasattr(b, "w"):
-                assert np.all(b.w >= 0.0)
-    assert seen["toeplitz_cross"] > 0 and seen["dense_between_long"] > 0
+            for name in ("w", "near", "expo", "moments", "decay"):
+                if hasattr(b, name):
+                    assert np.all(getattr(b, name) >= 0.0)
+        arrays = [a for a in _reachable(op).values() if isinstance(a, np.ndarray)]
+        assert all(not a.flags.writeable for a in arrays)
+    # long intervals of unequal spacing give the cross blocks
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("delta", [4e-3, 1e-4, 1e-6])
+@pytest.mark.parametrize("beta", [0.05, 0.5, 0.95])
+def test_sum_of_exponentials_within_its_stored_error(beta, delta):
+    # against t**(beta - 1) / gamma(beta) at points the build never sampled,
+    # the endpoints included
+    span = 36.0
+    s, w, eps = _soe(beta, delta, span)
+    rng = np.random.default_rng(11)
+    t = np.exp(rng.uniform(math.log(delta), math.log(span), 20000))
+    t = np.concatenate([[delta, span], t])
+    approx = np.exp(-np.multiply.outer(t, s)) @ w
+    exact = t ** (beta - 1.0) / math.gamma(beta)
+    assert np.all(np.abs(approx - exact) <= eps * exact)
+    assert 0.0 < eps < 1e-14
+    assert np.all(s > 0.0) and np.all(w > 0.0)
+    # 16 Gauss-Jacobi nodes and 10 per dyadic panel up to 40 / delta
+    assert len(s) == 16 + 10 * math.ceil(math.log2(40.0 * span / delta))
+
+
+def test_mixed_plan_has_no_exp_block():
+    # the benchmark's mixed scale: equal spacings, so Toeplitz and thin
+    # dense blocks only, with exact weights and no kernel error
+    grid = build_grid(TimeScale(((0.0, 1.0), (1.5, 1.5), (2.0, 2.5))), 3e-4)
+    op = KernelOperator(grid, 0.5)
+    assert {b.kind for b in op.blocks} == {"toeplitz", "dense"}
+    assert op.eps == 0.0 and len(op.rates) == 0
+    summary = op.to_json()
+    assert summary["blocks"] == {"toeplitz": 3, "dense": 9, "exp": 0}
+    assert summary["soe_terms"] == 0 and summary["eps"] == 0.0
+
+
+def test_admission_counts_the_bytes_of_every_block_kind():
+    # the estimate made before any block is built is each block's size
+    rng = np.random.default_rng(3)
+    grids = [
+        build_grid(TimeScale(((0.0, 1.0), (1.5, 1.5), (2.0, 2.5))), 1.0 / 300),
+        build_grid(TimeScale(((0.0, 1.0), (1.5, 1.5), (2.0, 2.7))), 1.0 / 300),
+        build_grid(fragmented_scale(rng, 80), 0.005),
+    ]
+    kinds = set()
+    for grid in grids:
+        op = KernelOperator(grid, 0.3)
+        for b in op.blocks:
+            kinds.add(b.kind)
+            held = sum(a.nbytes for a in vars(b).values() if isinstance(a, np.ndarray))
+            assert type(b).nbytes(b.r0, b.r1, b.c0, b.c1, len(op.rates)) == held
+    assert kinds == {"toeplitz", "dense", "exp"}
 
 
 def test_operator_refuses_dense_blocks_over_the_cap():
-    # two long intervals of unequal spacing: their 25001 x 16668 cross
-    # block alone would need 3.1 GiB
-    grid = build_grid(TimeScale(((0.0, 1.0), (2.0, 3.5))), 6e-5)
+    # thin dense blocks can still be huge: ten runs of 120 isolated points
+    # against ten 25001-node intervals need 2.29 GiB
+    grid = build_grid(TimeScale(tuple(over_cap_components())), 4e-5)
     tracemalloc.start()
     try:
-        with pytest.raises(OperatorTooLarge, match=r"needs 3\.1\d* GiB .* above the 2 GiB cap"):
+        with pytest.raises(OperatorTooLarge, match=r"needs 2\.29 GiB of blocks, above the 2 GiB"):
             frac_integral_operator(grid, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_unequal_long_intervals_build_in_memory_linear_in_n_terms():
+    # the 25001 x 16668 cross block between spacings 6e-5 and 1/16667 once
+    # needed 3.1 GiB dense and was refused; it is now one far-field block
+    grid = build_grid(TimeScale(((0.0, 1.0), (2.0, 3.5))), 6e-5)
+    n = len(grid)
+    tracemalloc.start()
+    try:
+        op = KernelOperator(grid, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    terms = len(op.rates)
+    assert op.to_json()["blocks"] == {"toeplitz": 2, "dense": 4, "exp": 1}
+    assert 0 < terms < 128 and peak < 2 * 8 * n * terms
+    g = np.ones(n)
+    y = op.apply(g)
+    for i in (16668, 30000, n - 1):
+        ref = float(_weights(grid.nodes, grid.gap_after, 0.5, i, i + 1, 0, n)[0] @ g)
+        assert abs(y[i] - ref) <= 1e-12 * ref
+
+
+def test_discrete_scale_of_20000_points_builds_in_linear_memory():
+    # once refused at 2.98 GiB dense: an exact near band of 128 columns and
+    # N history terms per node; the far weights are exact kernel sums
+    pts = np.cumsum(np.random.default_rng(7).uniform(0.2, 1.5, 20000))
+    grid = build_grid(TimeScale.from_points(pts.tolist()), 1.0)
+    n = len(grid)
+    tracemalloc.start()
+    try:
+        op = KernelOperator(grid, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    terms = len(op.rates)
+    assert op.to_json()["blocks"] == {"toeplitz": 0, "dense": 0, "exp": 1}
+    assert peak < 8 * n * (3 * terms + 2 * MIN_SEGMENT)
+    g = np.random.default_rng(1).uniform(0.5, 2.0, n)
+    y = op.apply(g)
+    for i in (300, 5000, n - 1):
+        ref = float(_weights(grid.nodes, grid.gap_after, 0.5, i, i + 1, 0, n)[0] @ g)
+        assert abs(y[i] - ref) <= 1e-12 * ref
 
 
 @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])

@@ -26,6 +26,8 @@ from chronofrac import (
     threshold_from_constants,
     uniqueness_threshold,
 )
+from chronofrac.cli import _write_report
+from chronofrac.fractional import _weights
 from chronofrac.oracles import constant_f_solution
 from conftest import make_scale
 
@@ -333,14 +335,19 @@ def test_picard_custom_start_and_grid_check():
         picard_solve(spec, GridFunction.zeros(other.grid))
 
 
-def test_solve_report_serializes():
+def test_solve_report_serializes(tmp_path):
     spec = canonical_spec(0.05, h_max=1.0 / 64)
     report = picard_solve(spec)
     blob = json.dumps(report.to_json())
     data = json.loads(blob)
     assert data["converged"] is True
     assert data["positive"] is True
-    assert len(data["solution"]["t"]) == len(data["solution"]["u"])
+    # the solution goes to solution.csv alone, one row per node
+    assert "solution" not in data
+    _write_report(tmp_path, report)
+    rows = (tmp_path / "solution.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(spec.grid) == len(report.solution.values)
+    assert data["operator"] == frac_integral_operator(spec.grid, 0.5).to_json()
     flat = picard_solve(
         ProblemSpec(
             timescale=TimeScale.interval(0.0, 1.0),
@@ -492,3 +499,33 @@ def test_grids_from_separate_builds_are_one_grid():
     ku = apply_K(spec, GridFunction.zeros(rebuilt))
     assert ku.values[0] == 0.0 and np.all(ku.values[1:] > 0.0)
     assert build_grid(spec.timescale, 0.02) != spec.grid
+
+
+def test_bounds_carry_the_kernel_error_of_the_far_field():
+    # a flat conductivity makes K constant, so the iteration is exact after
+    # one step and all that is left of the a priori bound is the far
+    # field's kernel error: eps * sup_bound, which must cover the distance
+    # to the solution with exact weights
+    pts = np.cumsum(np.random.default_rng(5).uniform(0.2, 1.5, 400))
+    spec = ProblemSpec(
+        timescale=TimeScale.from_points(pts.tolist()),
+        alpha=0.25,
+        lam=1.0,
+        model=Constant(2.0),
+        h_max=1.0,
+    )
+    report = picard_solve(spec)
+    eps = report.operator["eps"]
+    assert report.operator["blocks"]["exp"] == 1 and 0.0 < eps < 1e-14
+    assert report.q == 0.0 and report.trace[-1] == 0.0
+    assert report.apriori_bound == eps * report.sup_bound > 0.0
+    grid = spec.grid
+    n = len(grid)
+    fv = np.full(n, 2.0)
+    exact = spec.lam * (_weights(grid.nodes, grid.gap_after, 0.5, 0, n, 0, n) @ fv)
+    exact /= grid.window_integral(fv) ** 2
+    assert np.max(np.abs(report.solution.values - exact)) <= report.apriori_bound
+    u = report.solution.values
+    res = {c.name: c for c in existence_diagnostics(spec, report).checks}["residual"]
+    assert res.passed
+    assert res.bound == spec.tol + eps * report.sup_bound + 1e-12 * (1.0 + np.max(np.abs(u)))
