@@ -25,7 +25,6 @@ import numpy as np
 from .timescale import Grid, GridFunction
 
 __all__ = [
-    "FracOrder",
     "CompositionReport",
     "KernelOperator",
     "OperatorTooLarge",
@@ -34,7 +33,6 @@ __all__ = [
     "frac_integral",
     "frac_integral_all",
     "frac_integral_operator",
-    "lower_matvec",
     "frac_derivative",
     "frac_derivative_all",
     "verify_composition",
@@ -53,28 +51,12 @@ def gamma_fn(x: float) -> float:
     return math.gamma(x)
 
 
-@dataclass(frozen=True)
-class FracOrder:
-    """Fractional order restricted to the open interval (0, 1)."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        a = float(self.alpha)
-        object.__setattr__(self, "alpha", a)
-        if not 0.0 < a < 1.0:
-            raise ValueError("fractional order must lie in (0, 1)")
-
-    @property
-    def complement(self) -> FracOrder:
-        """The order ``1 - alpha`` used by the derivative."""
-        return FracOrder(1.0 - self.alpha)
-
-
-def _alpha_of(order: FracOrder | float) -> float:
-    if isinstance(order, FracOrder):
-        return order.alpha
-    return FracOrder(float(order)).alpha
+def _alpha_of(order: float) -> float:
+    """The fractional order as a float, which must lie in (0, 1)."""
+    alpha = float(order)
+    if not 0.0 < alpha < 1.0:  # NaN fails both comparisons
+        raise ValueError("fractional order must lie in (0, 1)")
+    return alpha
 
 
 # An interval of at least this many nodes is its own operator segment;
@@ -247,7 +229,8 @@ def _moments(x, gaps, s, j0: int, j1: int, ref: float, col0: int, ncols: int) ->
 
 
 class _DenseBlock:
-    """Explicit weights of rows [r0, r1) at columns [c0, c1)."""
+    """Explicit weights of rows [r0, r1) at columns [c0, c1), where one
+    side has at most ``MIN_SEGMENT`` nodes."""
 
     kind = "dense"
 
@@ -260,50 +243,89 @@ class _DenseBlock:
         return 8 * (r1 - r0) * (c1 - c0)
 
     def add_to(self, out: np.ndarray, g: np.ndarray) -> None:
-        gc = g[self.c0 : self.c1]
-        diagonal = (self.r0, self.r1) == (self.c0, self.c1)
-        out[self.r0 : self.r1] += lower_matvec(self.w, gc) if diagonal else np.vecdot(self.w, gc)
+        out[self.r0 : self.r1] += np.vecdot(self.w, g[self.c0 : self.c1])
 
 
 class _ToeplitzBlock:
-    """Weights of rows [r0, r1) at columns [c0, c1) that depend only on the
-    row index minus the column index, applied by FFT convolution."""
+    """Weights of rows [r0, r1) at columns [c0, c1) of one uniform lattice.
+
+    Between the first column and the last a weight depends only on the row
+    index minus the column index, and is applied by FFT convolution.  The
+    first column and the last, which carries the gap weight in rows past
+    it, are held exactly, so the block is exact over the whole pair.
+    """
 
     kind = "toeplitz"
 
     def __init__(self, op, r0, r1, c0, c1):
         x, gaps, alpha = op.nodes, op.gaps, op.alpha
         self.r0, self.r1, self.c0, self.c1 = r0, r1, c0, c1
-        # generator from the exact first row and column: gen[d + c1 - c0 - 1]
-        # is the weight at row offset minus column offset d
-        row = _weights(x, gaps, alpha, r0, r0 + 1, c0 + 1, c1)[0]
-        col = _weights(x, gaps, alpha, r0, r1, c0, c0 + 1)[:, 0]
-        gen = np.concatenate([row[::-1], col])
+        # one pass gives the first column and the core's first; the
+        # generator comes from the core's exact first row and column:
+        # gen[d + c1 - c0 - 3] is the weight where the row offset minus the
+        # core column offset is d
+        edge = _weights(x, gaps, alpha, r0, r1, c0, c0 + 2)
+        self.first = edge[:, 0].copy()
+        self.last = _weights(x, gaps, alpha, r0, r1, c1 - 1, c1)[:, 0].copy()
+        row = _weights(x, gaps, alpha, r0, r0 + 1, c0 + 2, c1 - 1)[0]
+        gen = np.concatenate([row[::-1], edge[:, 1]])
         self.size = 1 << (len(gen) - 1).bit_length()
         self.spectrum = np.fft.rfft(gen, self.size)
 
     @staticmethod
     def nbytes(r0, r1, c0, c1, terms):
-        return 16 * ((1 << (r1 - r0 + c1 - c0 - 2).bit_length()) // 2 + 1)
+        return 16 * ((1 << (r1 - r0 + c1 - c0 - 4).bit_length()) // 2 + 1) + 16 * (r1 - r0)
 
     def add_to(self, out: np.ndarray, g: np.ndarray) -> None:
-        nc = self.c1 - self.c0
-        y = np.fft.irfft(np.fft.rfft(g[self.c0 : self.c1], self.size) * self.spectrum, self.size)
-        out[self.r0 : self.r1] += y[nc - 1 : nc - 1 + self.r1 - self.r0]
+        nc = self.c1 - self.c0 - 2
+        core = np.fft.rfft(g[self.c0 + 1 : self.c1 - 1], self.size)
+        y = np.fft.irfft(core * self.spectrum, self.size)
+        rows = out[self.r0 : self.r1]
+        rows += self.first * g[self.c0]
+        rows += y[nc - 1 : nc - 1 + self.r1 - self.r0]
+        rows += self.last * g[self.c1 - 1]
 
 
-class _ExpBlock:
-    """Weights of rows [r0, r1) at columns [c0, c1), both sides longer than
-    ``MIN_SEGMENT``, with the kernel on every far cell replaced by the
-    operator's sum of N exponentials, in O((rows + columns) N) memory.
+class _ExpCross:
+    """Weights of rows [r0, r1) at the columns [c0, c1) of an earlier
+    segment, both longer than ``MIN_SEGMENT``, with the kernel replaced by
+    the operator's sum of N exponentials: ``E_R (M_C g_C)``, with ``M_C``
+    the moments of the cells at ``x[c1]`` and ``E_R`` the decays from there
+    to the rows, in O((rows + columns) N) memory."""
 
-    Off the diagonal every cell is far: ``E_R (M_C g_C)``, with ``M_C``
-    the moments of the cells at ``x[c1]`` and ``E_R`` the decays from
-    there to the rows.  On the diagonal, rows go in blocks of
-    ``MIN_SEGMENT``.  The cells inside a row block and the one just
-    before it keep their exact weights (``near``).  Every earlier cell is
-    far and enters through N history sums at the node before the block,
-    carried on from block to block: ``H <- exp(-s dx) H + M_b g_b``.
+    kind = "exp"
+
+    def __init__(self, op, r0, r1, c0, c1):
+        x, s = op.nodes, op.rates
+        self.r0, self.r1, self.c0, self.c1 = r0, r1, c0, c1
+        self.moments = _moments(x, op.gaps, s, c0, c1, x[c1], c0, c1 - c0)
+        self.expo = _decays(x[r0:r1] - x[c1], s, op.weights)
+
+    @staticmethod
+    def reach(x, gaps, r0, r1, c0, c1) -> float:
+        """Distance from the first row to the kernel argument of the last
+        cell: its right end if continuous, its left if scattered."""
+        return float(x[r0] - (x[c1 - 1] if gaps[c1 - 1] else x[c1]))
+
+    @staticmethod
+    def nbytes(r0, r1, c0, c1, terms):
+        return 8 * terms * (r1 - r0 + c1 - c0)
+
+    def add_to(self, out: np.ndarray, g: np.ndarray) -> None:
+        hist = np.vecdot(self.moments, g[self.c0 : self.c1])
+        out[self.r0 : self.r1] += np.vecdot(self.expo, hist)
+
+
+class _ExpDiagonal:
+    """Weights of a segment longer than ``MIN_SEGMENT`` at its own columns,
+    [r0, r1) both, exact near the diagonal and a sum of N exponentials for
+    the kernel on every far cell, in O((r1 - r0) N) memory.
+
+    Rows go in blocks of ``MIN_SEGMENT``.  The cells inside a row block and
+    the one just before it keep their exact weights (``near``).  Every
+    earlier cell is far and enters through N history sums at the node
+    before the block, carried on from block to block:
+    ``H <- exp(-s dx) H + M_b g_b``.
     """
 
     kind = "exp"
@@ -311,10 +333,6 @@ class _ExpBlock:
     def __init__(self, op, r0, r1, c0, c1):
         x, gaps, s, w = op.nodes, op.gaps, op.rates, op.weights
         self.r0, self.r1, self.c0, self.c1 = r0, r1, c0, c1
-        if r0 >= c1:
-            self.moments = _moments(x, gaps, s, c0, c1, x[c1], c0, c1 - c0)
-            self.expo = _decays(x[r0:r1] - x[c1], s, w)
-            return
         B, nb = MIN_SEGMENT, -(-(r1 - r0) // MIN_SEGMENT)
         self.near = np.zeros((nb, B, B + 1))
         self.expo = np.zeros((nb, B, len(s)))
@@ -336,27 +354,18 @@ class _ExpBlock:
 
     @staticmethod
     def reach(x, gaps, r0, r1, c0, c1) -> float:
-        """Smallest distance from a row to the nearest kernel argument of a
-        far cell: the right end of a continuous cell, the left of a scattered one."""
-        if r0 >= c1:
-            rows, last = np.array([r0]), np.array([c1 - 1])
-        else:
-            rows = np.arange(r0 + MIN_SEGMENT, r1, MIN_SEGMENT)
-            last = rows - 2
+        """Smallest distance from a row block to the kernel argument of its
+        last far cell: the right end if continuous, the left if scattered."""
+        rows = np.arange(r0 + MIN_SEGMENT, r1, MIN_SEGMENT)
+        last = rows - 2
         return float(np.min(x[rows] - np.where(gaps[last], x[last], x[last + 1])))
 
     @staticmethod
     def nbytes(r0, r1, c0, c1, terms):
-        if r0 >= c1:
-            return 8 * terms * (r1 - r0 + c1 - c0)
         B = MIN_SEGMENT
         return 8 * -(-(r1 - r0) // B) * (B * terms + terms * (B + 1) + B * (B + 1) + terms)
 
     def add_to(self, out: np.ndarray, g: np.ndarray) -> None:
-        if not hasattr(self, "near"):
-            hist = np.vecdot(self.moments, g[self.c0 : self.c1])
-            out[self.r0 : self.r1] += np.vecdot(self.expo, hist)
-            return
         B, nb = MIN_SEGMENT, len(self.near)
         # window k holds g at columns [r0 + kB - 1, r0 + (k + 1) B); the
         # column before the block and the rows past it read zero
@@ -377,14 +386,14 @@ class KernelOperator:
     Row ``i`` holds quadrature weights against the kernel
     ``(t_i - s)**(alpha - 1) / gamma(alpha)``; the matrix is lower
     triangular and row 0 is empty.  It is held by blocks between grid
-    segments, of three kinds:
+    segments, one block per pair of segments, of three kinds:
 
-    - between uniform intervals of one spacing, Toeplitz but for the edge
-      columns: O(n) memory and an O(n log n) product, exact;
-    - where either side has at most ``MIN_SEGMENT`` nodes, dense and exact;
+    - between uniform intervals of one spacing, ``_ToeplitzBlock``: exact,
+      with its edge columns, in O(n) memory and an O(n log n) product;
+    - where either side has at most ``MIN_SEGMENT`` nodes, ``_DenseBlock``;
     - everywhere else, so on all of a long scattered or fragmented run,
-      ``_ExpBlock``: exact near the diagonal, and a sum of ``N``
-      exponentials for the kernel on the far cells, in O(nN).
+      ``_ExpDiagonal`` and ``_ExpCross``: exact near the diagonal, and a
+      sum of ``N`` exponentials for the kernel on the far cells, in O(nN).
 
     The sum's relative kernel error is at most ``eps`` (0 with no such
     block).  Every weight integrates the kernel against a nonnegative hat,
@@ -399,19 +408,14 @@ class KernelOperator:
         for r, (r0, r1, hr) in enumerate(segs):
             for c0, c1, hc in segs[: r + 1]:
                 if hr and hc and abs(hr - hc) * (r1 - r0 + c1 - c0) <= _lattice_tol(x[c0:r1]):
-                    # one lattice: Toeplitz but for the first column and the
-                    # last, which carries the gap weight in rows past it
-                    plan += [
-                        (_DenseBlock, r0, r1, c0, c0 + 1),
-                        (_ToeplitzBlock, r0, r1, c0 + 1, c1 - 1),
-                        (_DenseBlock, r0, r1, c1 - 1, c1),
-                    ]
-                elif min(r1 - r0, c1 - c0) > MIN_SEGMENT:
-                    plan.append((_ExpBlock, r0, r1, c0, c1))
+                    kind = _ToeplitzBlock
+                elif min(r1 - r0, c1 - c0) <= MIN_SEGMENT:
+                    kind = _DenseBlock
                 else:
-                    plan.append((_DenseBlock, r0, r1, c0, c1))
+                    kind = _ExpDiagonal if r0 == c0 else _ExpCross
+                plan.append((kind, r0, r1, c0, c1))
         self.alpha, self.nodes, self.gaps = alpha, x, gaps
-        far = [_ExpBlock.reach(x, gaps, *span) for kind, *span in plan if kind is _ExpBlock]
+        far = [kind.reach(x, gaps, *span) for kind, *span in plan if kind.kind == "exp"]
         if far:
             self.rates, self.weights, self.eps = _soe(alpha, min(far), x[-1] - x[0])
         else:
@@ -461,7 +465,7 @@ class KernelOperator:
 
 
 @lru_cache(maxsize=4)
-def frac_integral_operator(grid: Grid, order: FracOrder | float) -> KernelOperator:
+def frac_integral_operator(grid: Grid, order: float) -> KernelOperator:
     """Operator mapping node samples to fractional-integral values, cached
     per (grid, order).  The cap ``DENSE_CAP`` counts the blocks of every
     kind, so the 4 cached operators hold at most 8 GiB of blocks beside
@@ -471,16 +475,7 @@ def frac_integral_operator(grid: Grid, order: FracOrder | float) -> KernelOperat
     return KernelOperator(grid, _alpha_of(order))
 
 
-def lower_matvec(w: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``w @ g`` for a lower-triangular ``w``, on the calling thread: 128-row
-    blocks skip the zero columns, and no BLAS thread stalls on a busy core."""
-    out = np.empty(len(g))
-    for r in range(0, len(g), 128):
-        out[r : r + 128] = np.vecdot(w[r : r + 128, : r + 128], g[: r + 128])
-    return out
-
-
-def kernel_weights(grid: Grid, order: FracOrder | float, t: float) -> np.ndarray:
+def kernel_weights(grid: Grid, order: float, t: float) -> np.ndarray:
     """Read-only weight row of the fractional integral at the grid node ``t``.
 
     Entry ``j`` multiplies the sample at node ``j``; entries at nodes past
@@ -490,7 +485,7 @@ def kernel_weights(grid: Grid, order: FracOrder | float, t: float) -> np.ndarray
     return _weights(grid.nodes, grid.gap_after, _alpha_of(order), i, i + 1, 0, len(grid))[0]
 
 
-def frac_integral(g: GridFunction, order: FracOrder | float, t: float) -> float:
+def frac_integral(g: GridFunction, order: float, t: float) -> float:
     """Left Riemann-Liouville fractional integral of ``g`` at a node.
 
     Evaluates the delta integral of ``(t - s)**(alpha - 1) * g(s)`` over
@@ -504,12 +499,12 @@ def frac_integral(g: GridFunction, order: FracOrder | float, t: float) -> float:
     return float(row @ g.values[: i + 1])
 
 
-def frac_integral_all(g: GridFunction, order: FracOrder | float) -> np.ndarray:
+def frac_integral_all(g: GridFunction, order: float) -> np.ndarray:
     """Fractional integral of ``g`` at every grid node."""
     return frac_integral_operator(g.grid, order).apply(g.values)
 
 
-def frac_derivative(g: GridFunction, order: FracOrder | float, t: float) -> float:
+def frac_derivative(g: GridFunction, order: float, t: float) -> float:
     """Left Riemann-Liouville fractional derivative of ``g`` at a node.
 
     Computed as the delta derivative of the integral of complementary
@@ -528,7 +523,7 @@ def frac_derivative(g: GridFunction, order: FracOrder | float, t: float) -> floa
     return float((f[1] - f[0]) / (grid.nodes[i + 1] - grid.nodes[i]))
 
 
-def frac_derivative_all(g: GridFunction, order: FracOrder | float) -> np.ndarray:
+def frac_derivative_all(g: GridFunction, order: float) -> np.ndarray:
     """Fractional derivative at every node but the last."""
     f = frac_integral_all(g, 1.0 - _alpha_of(order))
     return np.diff(f) / np.diff(g.grid.nodes)
@@ -546,7 +541,7 @@ class CompositionReport:
         return {"h_max": self.h_max, "err_DI": self.err_di, "err_ID": self.err_id}
 
 
-def verify_composition(g: GridFunction, order: FracOrder | float) -> CompositionReport:
+def verify_composition(g: GridFunction, order: float) -> CompositionReport:
     """Measure both composition residuals for ``g`` on its grid.
 
     ``err_DI`` is the max-norm of ``D(I g) - g`` and ``err_ID`` of

@@ -422,8 +422,9 @@ def existence_diagnostics(
     all adjacent plus ``n_random_pairs`` random node pairs against the
     equicontinuity modulus, and the residual against the fixed-point
     bound ``(tol * (1 + q_theta) + eps * sup_bound) / (1 - q_theta)`` of the
-    damped update, with ``eps`` the report's kernel error (skipped
-    trivially when ``q >= 1``).
+    damped update, with ``eps`` the report's kernel error.  When ``q >= 1``
+    no contraction bounds the residual: its bound is ``inf`` and the check
+    fails.
     The modulus applies exactly to operator images; the solution is one
     only up to the residual, so both checks carry that slack plus a
     rounding allowance.
@@ -461,7 +462,7 @@ def existence_diagnostics(
         bnd_res = math.inf
     res_check = DiagnosticCheck(
         name="residual",
-        passed=report.residual <= bnd_res,
+        passed=report.q < 1.0 and report.residual <= bnd_res,
         observed=report.residual,
         bound=bnd_res,
     )

@@ -29,10 +29,11 @@ __all__ = [
 # Absolute tolerance for snapping query points onto interval endpoints and
 # grid nodes, so boundary lookups never miss by a rounding error.
 SNAP = 1e-12
-# Most nodes ``build_grid`` lays down.  A solve peaks at about 400 bytes
-# per node (414 MiB for 1e6 nodes on one interval, output files included),
-# so the cap keeps a solve near the 2 GiB the kernel operator may spend on
-# dense blocks; the 1e6-node uniform grid builds with five times room.
+# Most nodes ``build_grid`` lays down.  The kernel operator's exponential
+# blocks hold about 4.4-4.9 kB per node: 18 MiB at 4350 fragmented nodes,
+# 128 MB for a 26473-node scattered run.  ``fractional.DENSE_CAP`` counts
+# the bytes of blocks of every kind, so on such grids it binds long before
+# this cap does.
 MAX_NODES = 5_000_000
 
 

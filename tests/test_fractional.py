@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from chronofrac import (
-    FracOrder,
     GridFunction,
     TimeScale,
     build_grid,
@@ -24,11 +23,10 @@ from chronofrac.fractional import (
     MIN_SEGMENT,
     KernelOperator,
     OperatorTooLarge,
-    _ExpBlock,
+    _ExpCross,
     _segments,
     _soe,
     _weights,
-    lower_matvec,
 )
 from chronofrac.oracles import (
     brute_force_discrete,
@@ -166,11 +164,23 @@ def test_gamma_accuracy_against_mpmath():
 
 
 def test_frac_order_validation():
-    assert FracOrder(0.3).alpha == 0.3
-    assert FracOrder(0.3).complement.alpha == 0.7
-    for bad in (0.0, 1.0, -0.2, 1.7):
+    # an order is a plain number in (0, 1); NaN fails both comparisons
+    grid = build_grid(TimeScale.integers(0, 5), 1.0)
+    g = GridFunction.sample(grid, lambda t: 1.0)
+    for bad in (0.0, 1.0, -0.1, math.nan):
         with pytest.raises(ValueError, match="lie in"):
-            FracOrder(bad)
+            frac_integral(g, bad, 3.0)
+        with pytest.raises(ValueError, match="lie in"):
+            frac_integral_operator(grid, bad)
+
+
+def test_equal_orders_share_one_cached_operator():
+    grid = build_grid(TimeScale.integers(0, 5), 1.0)
+    frac_integral_operator.cache_clear()
+    op = frac_integral_operator(grid, 0.5)
+    assert frac_integral_operator(grid, np.float64(0.5)) is op
+    info = frac_integral_operator.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 # -- fractional integral ---------------------------------------------------
@@ -204,12 +214,6 @@ def test_integral_discrete_unit_sample():
     # same finite sum, summed independently
     bf = brute_force_discrete(grid.timescale, [1.0] * 6, 0.5, 3.0)
     assert abs(v - bf) <= 1e-13
-
-
-def test_integral_accepts_frac_order():
-    grid = build_grid(TimeScale.integers(0, 5), 1.0)
-    g = GridFunction.sample(grid, lambda t: 1.0)
-    assert frac_integral(g, FracOrder(0.5), 3.0) == frac_integral(g, 0.5, 3.0)
 
 
 def test_integral_matches_brute_force_on_random_discrete_scales():
@@ -403,7 +407,7 @@ def _reference_grids(rng):
 
 def test_structured_operator_matches_dense_reference():
     rng = np.random.default_rng(2024)
-    seen = {"toeplitz_cross": 0, "dense_between_long": 0, "exp_diagonal": 0, "exp_cross": 0}
+    seen = {"toeplitz_cross": 0, "exp_between_long": 0, "exp_diagonal": 0, "exp_cross": 0}
     for grid in _reference_grids(rng):
         alpha = float(rng.uniform(0.02, 0.98))
         x = grid.nodes
@@ -412,14 +416,14 @@ def test_structured_operator_matches_dense_reference():
         op = KernelOperator(grid, alpha)
         long_starts = {s for s, e, hs in _segments(x, grid.gap_after) if hs}
         for b in op.blocks:
-            if isinstance(b, _ExpBlock):
-                seen["exp_cross" if b.r0 >= b.c1 else "exp_diagonal"] += 1
+            cross = b.r0 >= b.c1
+            if b.kind == "exp":
+                seen["exp_cross" if cross else "exp_diagonal"] += 1
                 assert b.r1 - b.r0 > MIN_SEGMENT and b.c1 - b.c0 > MIN_SEGMENT
-            if hasattr(b, "spectrum"):
-                seen["toeplitz_cross"] += b.r0 >= b.c1
-            elif b.r0 > b.c0 and b.c1 - b.c0 > 1:
-                seen["dense_between_long"] += b.r0 in long_starts and b.c0 in long_starts
-        assert (op.eps > 0.0) == any(isinstance(b, _ExpBlock) for b in op.blocks)
+                assert isinstance(b, _ExpCross) == cross
+                seen["exp_between_long"] += b.r0 in long_starts and b.c0 in long_starts
+            seen["toeplitz_cross"] += b.kind == "toeplitz" and cross
+        assert (op.eps > 0.0) == any(b.kind == "exp" for b in op.blocks)
         assert op.eps < 1e-14
         for g in (rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 2.0, n)):
             y = op.apply(g)
@@ -435,13 +439,38 @@ def test_structured_operator_matches_dense_reference():
         assert np.all(dense >= 0.0)
         # every weight, near or far, and every far-field factor is nonnegative
         for b in op.blocks:
-            for name in ("w", "near", "expo", "moments", "decay"):
+            for name in ("w", "first", "last", "near", "expo", "moments", "decay"):
                 if hasattr(b, name):
                     assert np.all(getattr(b, name) >= 0.0)
         arrays = [a for a in _reachable(op).values() if isinstance(a, np.ndarray)]
         assert all(not a.flags.writeable for a in arrays)
     # long intervals of unequal spacing give the cross blocks
     assert all(seen.values()), seen
+
+
+def test_plan_holds_one_block_per_segment_pair():
+    # S segments give S (S + 1) / 2 blocks, in the order of the pairs; a
+    # Toeplitz block's edge columns are the exact one-column weights, and
+    # its two-column pass gives the generator column bit for bit too
+    rng = np.random.default_rng(2024)
+    toeplitz = 0
+    for grid in _reference_grids(rng):
+        x, gaps = grid.nodes, grid.gap_after
+        alpha = float(rng.uniform(0.02, 0.98))
+        segs = [(s, e) for s, e, _ in _segments(x, gaps)]
+        pairs = [(r0, r1, c0, c1) for i, (r0, r1) in enumerate(segs) for c0, c1 in segs[: i + 1]]
+        op = KernelOperator(grid, alpha)
+        assert [(b.r0, b.r1, b.c0, b.c1) for b in op.blocks] == pairs
+        assert len(op.blocks) == len(segs) * (len(segs) + 1) // 2
+        for b in op.blocks:
+            if b.kind == "toeplitz":
+                toeplitz += 1
+                r0, r1, c0, c1 = b.r0, b.r1, b.c0, b.c1
+                col = [_weights(x, gaps, alpha, r0, r1, c, c + 1)[:, 0] for c in (c0, c0 + 1)]
+                col.append(_weights(x, gaps, alpha, r0, r1, c1 - 1, c1)[:, 0])
+                assert np.array_equal(b.first, col[0]) and np.array_equal(b.last, col[2])
+                assert np.array_equal(_weights(x, gaps, alpha, r0, r1, c0, c0 + 2)[:, 1], col[1])
+    assert toeplitz
 
 
 @pytest.mark.parametrize("delta", [4e-3, 1e-4, 1e-6])
@@ -471,7 +500,7 @@ def test_mixed_plan_has_no_exp_block():
     assert {b.kind for b in op.blocks} == {"toeplitz", "dense"}
     assert op.eps == 0.0 and len(op.rates) == 0
     summary = op.to_json()
-    assert summary["blocks"] == {"toeplitz": 3, "dense": 9, "exp": 0}
+    assert summary["blocks"] == {"toeplitz": 3, "dense": 3, "exp": 0}
     assert summary["soe_terms"] == 0 and summary["eps"] == 0.0
 
 
@@ -519,7 +548,7 @@ def test_unequal_long_intervals_build_in_memory_linear_in_n_terms():
     finally:
         tracemalloc.stop()
     terms = len(op.rates)
-    assert op.to_json()["blocks"] == {"toeplitz": 2, "dense": 4, "exp": 1}
+    assert op.to_json()["blocks"] == {"toeplitz": 2, "dense": 0, "exp": 1}
     assert 0 < terms < 128 and peak < 2 * 8 * n * terms
     g = np.ones(n)
     y = op.apply(g)
@@ -548,15 +577,6 @@ def test_discrete_scale_of_20000_points_builds_in_linear_memory():
     for i in (300, 5000, n - 1):
         ref = float(_weights(grid.nodes, grid.gap_after, 0.5, i, i + 1, 0, n)[0] @ g)
         assert abs(y[i] - ref) <= 1e-12 * ref
-
-
-@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
-def test_lower_matvec_matches_dense_product(n):
-    # the row blocks must cover every row, including a short last block
-    rng = np.random.default_rng(n)
-    w = np.tril(rng.uniform(0.0, 1.0, (n, n)))
-    g = rng.uniform(-1.0, 1.0, n)
-    np.testing.assert_allclose(lower_matvec(w, g), w @ g, rtol=1e-13, atol=1e-13)
 
 
 # -- fractional derivative -------------------------------------------------

@@ -390,6 +390,27 @@ def test_diagnostics_pass_with_flat_conductivity():
     assert diag.checks[2].bound < math.inf
 
 
+def test_residual_check_fails_past_the_threshold():
+    # at 2 lambda* (q = 2) no contraction bounds the residual: the check
+    # fails with bound inf, where it used to pass against it
+    base = ProblemSpec(
+        timescale=TimeScale(((0.0, 1.0), (1.5, 1.5), (2.0, 2.5))),
+        alpha=0.25,
+        lam=1.0,
+        model=ClampedAffine(base=1.0, slope=1.0, lo=1.0, hi=2.0),
+        h_max=0.01,
+    )
+    spec = base.at_lambda(2.0 * uniqueness_threshold(base))
+    report = picard_solve(spec)
+    assert report.converged and report.q == pytest.approx(2.0)
+    diag = existence_diagnostics(spec, report)
+    res = diag.checks[2]
+    assert res.name == "residual" and not res.passed and res.bound == math.inf
+    assert res.to_json()["bound"] == "inf" and res.to_json()["passed"] is False
+    assert [c.passed for c in diag.checks[:2]] == [True, True]
+    assert not diag.passed and diag.to_json()["passed"] is False
+
+
 def _diagnostics_by_pair_loop(spec, report, n_random_pairs=100, seed=0):
     # the scalar loop existence_diagnostics ran before it was vectorised
     u = report.solution.values
