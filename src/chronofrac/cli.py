@@ -350,8 +350,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="chronofrac", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="problem config JSON")
+    def common(p):
+        p.add_argument("--config", required=True, help="problem config JSON")
         p.add_argument("--strict", action="store_true", help="non-convergence is fatal")
 
     p = sub.add_parser("solve", help="run Picard iteration, write report and CSVs")
@@ -375,7 +375,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run the frozen oracle suites")
     p.add_argument("--cases", default=None, help="directory of case suites")
     p.add_argument("--out", default=None, help="optional directory for verify.json")
-    p.add_argument("--strict", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -10,6 +10,7 @@ temperature is nonnegative, and iterates only dip below zero by rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,7 +26,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConductivityModel:
-    """Base interface; families subclass and certify their constants."""
+    """Base interface; families subclass and certify their constants.  A
+    family's JSON form is its ``family`` name, then its fields in order."""
+
+    family: ClassVar[str]
 
     def __post_init__(self) -> None:
         # a NaN or infinite parameter would certify NaN or inf constants
@@ -49,12 +53,19 @@ class ConductivityModel:
         return float(self.apply(u))
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        """``family``, then the fields in order, tuples as lists."""
+        out: dict = {"family": self.family}
+        for field in fields(self):
+            value = getattr(self, field.name)
+            out[field.name] = list(value) if isinstance(value, tuple) else value
+        return out
 
 
 @dataclass(frozen=True)
 class Constant(ConductivityModel):
     """Temperature-independent conductivity."""
+
+    family = "constant"
 
     c: float
 
@@ -69,13 +80,12 @@ class Constant(ConductivityModel):
     def _eval(self, u: np.ndarray) -> np.ndarray:
         return np.full_like(u, float(self.c))
 
-    def to_json(self) -> dict:
-        return {"family": "constant", "c": self.c}
-
 
 @dataclass(frozen=True)
 class ClampedAffine(ConductivityModel):
     """Affine response clamped into a positive band [lo, hi]."""
+
+    family = "clamped_affine"
 
     base: float
     slope: float
@@ -93,15 +103,6 @@ class ClampedAffine(ConductivityModel):
     def _eval(self, u: np.ndarray) -> np.ndarray:
         return np.clip(self.base + self.slope * u, self.lo, self.hi)
 
-    def to_json(self) -> dict:
-        return {
-            "family": "clamped_affine",
-            "base": self.base,
-            "slope": self.slope,
-            "lo": self.lo,
-            "hi": self.hi,
-        }
-
 
 @dataclass(frozen=True)
 class BoundedRational(ConductivityModel):
@@ -111,6 +112,8 @@ class BoundedRational(ConductivityModel):
     asymptotes and the Lipschitz constant is the slope at zero,
     ``(c2 - c1) / scale``.
     """
+
+    family = "bounded_rational"
 
     c1: float
     c2: float
@@ -129,14 +132,6 @@ class BoundedRational(ConductivityModel):
     def _eval(self, u: np.ndarray) -> np.ndarray:
         return self.c1 + (self.c2 - self.c1) / (1.0 + u / self.scale)
 
-    def to_json(self) -> dict:
-        return {
-            "family": "bounded_rational",
-            "c1": self.c1,
-            "c2": self.c2,
-            "scale": self.scale,
-        }
-
 
 @dataclass(frozen=True)
 class Table(ConductivityModel):
@@ -147,6 +142,8 @@ class Table(ConductivityModel):
     bounds are the extreme table values and the Lipschitz constant the
     steepest segment slope.
     """
+
+    family = "table"
 
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
@@ -165,52 +162,14 @@ class Table(ConductivityModel):
             raise ValueError("table values must be positive")
 
     def constants(self) -> tuple[float, float, float]:
-        vals = self.values
-        if len(vals) == 1:
-            return (vals[0], vals[0], 0.0)
-        slopes = [
-            abs((v1 - v0) / (b1 - b0))
-            for b0, b1, v0, v1 in zip(
-                self.breakpoints, self.breakpoints[1:], vals, vals[1:]
-            )
-        ]
-        return (min(vals), max(vals), max(slopes))
+        slopes = np.abs(np.diff(self.values) / np.diff(self.breakpoints))
+        return (min(self.values), max(self.values), float(slopes.max(initial=0.0)))
 
     def _eval(self, u: np.ndarray) -> np.ndarray:
         return np.interp(u, self.breakpoints, self.values)
 
-    def to_json(self) -> dict:
-        return {
-            "family": "table",
-            "breakpoints": list(self.breakpoints),
-            "values": list(self.values),
-        }
 
-
-def _field(data: dict, key: str, family: str):
-    if key not in data:
-        raise ValueError(f"conductivity field '{key}' is required for family '{family}'")
-    return data[key]
-
-
-_FAMILIES = {
-    "constant": lambda d: Constant(c=float(_field(d, "c", "constant"))),
-    "clamped_affine": lambda d: ClampedAffine(
-        base=float(_field(d, "base", "clamped_affine")),
-        slope=float(_field(d, "slope", "clamped_affine")),
-        lo=float(_field(d, "lo", "clamped_affine")),
-        hi=float(_field(d, "hi", "clamped_affine")),
-    ),
-    "bounded_rational": lambda d: BoundedRational(
-        c1=float(_field(d, "c1", "bounded_rational")),
-        c2=float(_field(d, "c2", "bounded_rational")),
-        scale=float(_field(d, "scale", "bounded_rational")),
-    ),
-    "table": lambda d: Table(
-        breakpoints=tuple(_field(d, "breakpoints", "table")),
-        values=tuple(_field(d, "values", "table")),
-    ),
-}
+_FAMILIES = {cls.family: cls for cls in (Constant, ClampedAffine, BoundedRational, Table)}
 
 
 def model_from_json(data: dict) -> ConductivityModel:
@@ -222,7 +181,16 @@ def model_from_json(data: dict) -> ConductivityModel:
         known = ", ".join(sorted(_FAMILIES))
         raise ValueError(f"unknown conductivity family '{family}' (known: {known})")
     try:
-        return _FAMILIES[family](data)
+        params = {}
+        for field in fields(_FAMILIES[family]):
+            if field.name not in data:
+                raise ValueError(
+                    f"conductivity field '{field.name}' is required for family '{family}'"
+                )
+            # scalars are floats; the table's breakpoints and values, tuples
+            convert = tuple if str(field.type).startswith("tuple") else float
+            params[field.name] = convert(data[field.name])
+        return _FAMILIES[family](**params)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ValueError) and str(exc):
             raise

@@ -75,6 +75,65 @@ class OperatorTooLarge(ValueError):
     """The blocks of a kernel operator would exceed ``DENSE_CAP``."""
 
 
+# a cell no wider than FAR times the distance from its right end to the row
+# is far: its right-hat weight takes SERIES_TERMS terms of a series, to 1e-17
+FAR = 1.0 / 32.0
+SERIES_TERMS = 11
+
+
+@lru_cache(maxsize=8)
+def _hat_series(alpha: float) -> tuple[float, ...]:
+    """Coefficients of ``F(z) = int_0^z (z - w) (1 + w)**(alpha - 1) dw / z**2``
+    in z, the highest first: ``binom(alpha - 1, k) / ((k + 1)(k + 2))``."""
+    coef, binom = [], 1.0
+    for k in range(SERIES_TERMS):
+        coef.append(binom / ((k + 1) * (k + 2)))
+        binom *= (alpha - 1 - k) / (k + 1)
+    return tuple(reversed(coef))
+
+
+def _hat_weights(a, b, h, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right hat weights of cells of width ``h`` that start ``a``
+    and end ``b`` before the row (both 0 past it).
+
+    With ``z = h / b``, from the width itself since the rounded ``a - b`` is
+    off by about ``a / h`` ulps, the kernel's integral over a cell,
+    ``m0 = b**alpha expm1(alpha log1p(z)) / alpha``, does not cancel; the
+    right hat's ``(m0 / z + m0 - b**alpha) / (alpha + 1)`` loses about
+    ``1 / z`` ulps, so far cells take it as ``b**alpha z F(z)``.
+    """
+    # in place where it can be: the temporaries of a tall pass cost more
+    # than its arithmetic
+    at = b == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = h / b
+        bp = b**alpha
+        m0 = np.log1p(z)
+        np.expm1(np.multiply(m0, alpha, out=m0), out=m0)
+        m0 *= bp
+        m0 /= alpha
+        m1 = m0 / z
+        m1 += m0
+        m1 -= bp
+        m1 /= alpha + 1.0
+        far = z <= FAR
+        if far.any():
+            f = np.zeros_like(z)
+            for c in _hat_series(alpha):
+                f *= z
+                f += c
+            f *= z
+            f *= bp
+            np.putmask(m1, far, f)
+    # a cell that ends at the row is whole, the right hat alpha / (alpha + 1) of it
+    m0[at] = a[at] ** alpha / alpha
+    m1[at] = m0[at] / (alpha + 1.0)
+    m0 -= m1
+    m0 /= math.gamma(alpha)
+    m1 /= math.gamma(alpha)
+    return m0, m1
+
+
 def _weights(x, gaps, alpha: float, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
     """Read-only weights of rows [r0, r1) at columns [c0, c1), by passes
     over a block of rows and every cell that reaches the block."""
@@ -94,20 +153,7 @@ def _weights(x, gaps, alpha: float, r0: int, r1: int, c0: int, c1: int) -> np.nd
         h = xk - xj
         a = np.maximum(xi - xj, 0.0)
         b = np.maximum(xi - xk, 0.0)
-        # kernel moments a**p - b**p through expm1, which does not cancel
-        # far from the target node where a and b are close
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lr = np.log1p((a - b) / b)
-            d0 = b**alpha * np.expm1(alpha * lr)
-            d1 = b ** (alpha + 1.0) * np.expm1((alpha + 1.0) * lr)
-        at = b == 0.0
-        d0[at] = a[at] ** alpha
-        d1[at] = a[at] ** (alpha + 1.0)
-        m0 = d0 / alpha
-        m1 = a * m0 - d1 / (alpha + 1.0)
-        m1 /= h
-        right = m1 * inv_gamma
-        left = (m0 - m1) * inv_gamma
+        left, right = _hat_weights(a, b, h, alpha)
         # a scattered cell of width h is one graininess-weighted kernel term
         jump = np.flatnonzero(gaps[j0:je])
         aj = a[:, jump]

@@ -114,6 +114,7 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["solve", "--config", "x.json"]) == 1  # --out missing
     assert main(["frobnicate"]) == 1  # unknown subcommand
     assert main([]) == 1  # no subcommand
+    assert main(["verify", "--strict"]) == 1  # verify has no --strict
     assert "error:" in capsys.readouterr().err
 
 

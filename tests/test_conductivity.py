@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -144,3 +145,18 @@ def test_model_from_json_errors():
         model_from_json({"c": 1.0})
     with pytest.raises(ValueError, match="'c' is required for family 'constant'"):
         model_from_json({"family": "constant"})
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
+def test_every_family_serialises_its_fields_in_order(model):
+    names = [f.name for f in fields(model)]
+    blob = model.to_json()
+    assert list(blob) == ["family", *names]
+    assert blob["family"] == type(model).family
+    for name in names:
+        partial = {k: v for k, v in blob.items() if k != name}
+        message = f"conductivity field '{name}' is required for family '{blob['family']}'"
+        with pytest.raises(ValueError, match=message):
+            model_from_json(partial)
+    back = model_from_json(json.loads(json.dumps(blob)))
+    assert back == model and back.to_json() == blob

@@ -24,6 +24,7 @@ from chronofrac.fractional import (
     KernelOperator,
     OperatorTooLarge,
     _ExpCross,
+    _hat_weights,
     _segments,
     _soe,
     _weights,
@@ -38,26 +39,9 @@ from conftest import fragmented_scale, make_scale, over_cap_components
 
 # -- reference weights ----------------------------------------------------
 # The per-cell assembly the library used before its row-blocked one: the
-# same formulas, one Python loop pass per cell, independent of the passes
-# and clamps of ``fractional._weights``.
-
-
-def _power_difference(a, b, p):
-    # a**p - b**p for 0 <= b < a, through expm1 where b > 0
-    out = a**p
-    pos = b > 0.0
-    if np.any(pos):
-        ap = a[pos]
-        bp = b[pos]
-        out[pos] = bp**p * np.expm1(p * np.log1p((ap - bp) / bp))
-    return out
-
-
-def _trapezoid_weights(a, b, h, alpha, inv_gamma):
-    # weights of g_j, g_{j+1} from the cell [x_j, x_j + h] at t = x_j + a = x_{j+1} + b
-    m0 = _power_difference(a, b, alpha) / alpha
-    m1 = a * m0 - _power_difference(a, b, alpha + 1.0) / (alpha + 1.0)
-    return (m0 - m1 / h) * inv_gamma, (m1 / h) * inv_gamma
+# same hat weights of a cell (``_hat_weights``, whose accuracy the mpmath
+# test below pins), one Python loop pass per cell, independent of the
+# passes and clamps of ``fractional._weights``.
 
 
 def _jump_weights(a, h, alpha, inv_gamma):
@@ -76,7 +60,7 @@ def _weight_columns(x, gaps, alpha, r0, r1, c0, c1):
         if gaps[j]:
             left, right = _jump_weights(a_dist, h, alpha, inv_gamma)
         else:
-            left, right = _trapezoid_weights(a_dist, x[lo:r1] - x[j + 1], h, alpha, inv_gamma)
+            left, right = _hat_weights(a_dist, x[lo:r1] - x[j + 1], h, alpha)
         if j >= c0:
             w[lo - r0 :, j - c0] += left
         if j + 1 < c1:
@@ -127,6 +111,30 @@ def test_weights_exact_across_the_pass_boundary(extra, c0):
     assert r0 >= c1
     _assert_weights_exact(grid, 0.37, r0, r0 + step + extra, c0, c1)
     _assert_weights_exact(grid, 0.37, r0, len(grid), c0, c1)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+def test_weights_accurate_far_from_the_row(alpha):
+    # the last row of [0, 1] at h = 1e-4 against its cell moments in 40-digit
+    # arithmetic, on columns from 3 to 10**4 cells before the row, where the
+    # closed form of the right-hat moment alone loses about a/h ulps
+    mp = pytest.importorskip("mpmath")
+    grid = build_grid(TimeScale.interval(0.0, 1.0), 1e-4)
+    x, i = grid.nodes, len(grid) - 1
+    w = kernel_weights(grid, alpha, 1.0)
+    with mp.workdps(40):
+        al, t = mp.mpf(alpha), mp.mpf(float(x[i]))
+
+        def hats(j):
+            # left and right hat moments of cell j over the kernel (t - s)**(al - 1)
+            a, b = t - mp.mpf(float(x[j])), t - mp.mpf(float(x[j + 1]))
+            m0 = (a**al - b**al) / al
+            right = (a * m0 - (a ** (al + 1) - b ** (al + 1)) / (al + 1)) / (a - b)
+            return m0 - right, right
+
+        for j in np.unique(i - np.geomspace(3, 1e4, 80).astype(int)):
+            exact = (hats(j)[0] + (hats(j - 1)[1] if j else 0)) / mp.gamma(al)
+            assert abs(float((mp.mpf(float(w[j])) - exact) / exact)) <= 5e-14, j
 
 
 # -- gamma ----------------------------------------------------------------

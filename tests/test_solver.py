@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -448,6 +449,30 @@ def test_vectorised_equicontinuity_matches_pair_loop():
         assert check.passed == passed
         assert abs(check.observed - observed) <= 1e-15 * abs(observed)
         assert abs(check.bound - bound) <= 1e-15 * abs(bound)
+
+
+def test_diagnostics_hold_a_few_arrays_per_node():
+    # the adjacent pairs come from differences, so the check holds a few
+    # float arrays of n entries, not a Python pair or an index per node
+    spec = ProblemSpec(
+        timescale=TimeScale.interval(0.0, 1.0),
+        alpha=0.25,
+        lam=0.0,
+        model=BoundedRational(1.0, 2.0, 0.5),
+        h_max=5e-6,
+    )
+    spec = spec.at_lambda(0.5 * uniqueness_threshold(spec))
+    report = picard_solve(spec)
+    n = len(spec.grid.nodes)
+    assert n == 200_001
+    tracemalloc.start()
+    try:
+        diag = existence_diagnostics(spec, report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diag.passed
+    assert peak <= 48 * n
 
 
 def test_gap_increment_can_exceed_the_power_difference_modulus():
