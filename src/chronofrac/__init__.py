@@ -1,81 +1,18 @@
 """Fractional calculus on time scales and the nonlocal thermistor solver."""
 
-from .conductivity import (
-    BoundedRational,
-    ClampedAffine,
-    ConductivityModel,
-    Constant,
-    Table,
-    model_from_json,
-)
-from .fractional import (
-    CompositionReport,
-    frac_derivative,
-    frac_derivative_all,
-    frac_integral,
-    frac_integral_all,
-    frac_integral_operator,
-    gamma_fn,
-    kernel_weights,
-    verify_composition,
-)
-from .solver import (
-    DiagnosticCheck,
-    ExistenceDiagnostics,
-    ProblemSpec,
-    SolveReport,
-    apply_K,
-    contraction_constant,
-    contraction_terms,
-    denominator,
-    equicontinuity_modulus,
-    existence_diagnostics,
-    picard_solve,
-    problem_from_json,
-    sup_bound,
-    threshold_from_constants,
-    uniqueness_threshold,
-)
-from .timescale import SNAP, Grid, GridFunction, TimeScale, build_grid, delta_integral
+# each public name is listed once, in the __all__ of the module defining it
+from . import conductivity, fractional, solver, timescale
+from .conductivity import *  # noqa: F403
+from .fractional import *  # noqa: F403
+from .solver import *  # noqa: F403
+from .timescale import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SNAP",
-    "TimeScale",
-    "Grid",
-    "GridFunction",
-    "build_grid",
-    "delta_integral",
-    "CompositionReport",
-    "gamma_fn",
-    "kernel_weights",
-    "frac_integral",
-    "frac_integral_all",
-    "frac_integral_operator",
-    "frac_derivative",
-    "frac_derivative_all",
-    "verify_composition",
-    "ConductivityModel",
-    "Constant",
-    "ClampedAffine",
-    "BoundedRational",
-    "Table",
-    "model_from_json",
-    "ProblemSpec",
-    "SolveReport",
-    "DiagnosticCheck",
-    "ExistenceDiagnostics",
-    "contraction_terms",
-    "threshold_from_constants",
-    "denominator",
-    "apply_K",
-    "contraction_constant",
-    "uniqueness_threshold",
-    "sup_bound",
-    "equicontinuity_modulus",
-    "picard_solve",
-    "existence_diagnostics",
-    "problem_from_json",
+    *timescale.__all__,
+    *fractional.__all__,
+    *conductivity.__all__,
+    *solver.__all__,
     "__version__",
 ]

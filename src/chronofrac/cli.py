@@ -352,21 +352,20 @@ def _build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--config", required=True, help="problem config JSON")
-        p.add_argument("--strict", action="store_true", help="non-convergence is fatal")
+        p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("solve", help="run Picard iteration, write report and CSVs")
     common(p)
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--strict", action="store_true", help="non-convergence is fatal")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("threshold", help="write the uniqueness threshold report")
     common(p)
-    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("sweep", help="solve over a lambda range, write sweep.csv")
     common(p)
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--strict", action="store_true", help="non-convergence is fatal")
     p.add_argument("--lambda-min", type=float, default=None)
     p.add_argument("--lambda-max", type=float, default=None)
     p.add_argument("--lambda-step", type=float, default=None)

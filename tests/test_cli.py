@@ -115,6 +115,9 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["frobnicate"]) == 1  # unknown subcommand
     assert main([]) == 1  # no subcommand
     assert main(["verify", "--strict"]) == 1  # verify has no --strict
+    cfg = write_config(tmp_path, AFFINE_PROBLEM)
+    threshold = ["threshold", "--config", cfg, "--out", str(tmp_path / "t")]
+    assert main(threshold + ["--strict"]) == 1  # threshold has no --strict
     assert "error:" in capsys.readouterr().err
 
 

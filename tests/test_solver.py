@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -412,18 +414,14 @@ def test_residual_check_fails_past_the_threshold():
     assert not diag.passed and diag.to_json()["passed"] is False
 
 
-def _diagnostics_by_pair_loop(spec, report, n_random_pairs=100, seed=0):
-    # the scalar loop existence_diagnostics ran before it was vectorised
+def _diagnostics_by_pair_loop(spec, report):
+    # the equicontinuity check pair by pair with the scalar modulus: every
+    # adjacent pair and every pair with the first node
     u = report.solution.values
     nodes = spec.grid.nodes
     n = len(nodes)
     eps = 1e-12 * (1.0 + float(np.max(np.abs(u))))
-    pairs = [(i, i + 1) for i in range(n - 1)]
-    rng = np.random.default_rng(seed)
-    for _ in range(n_random_pairs):
-        i = int(rng.integers(0, n - 1))
-        j = int(rng.integers(i + 1, n))
-        pairs.append((i, j))
+    pairs = [(i, i + 1) for i in range(n - 1)] + [(0, j) for j in range(1, n)]
     slack = 2.0 * report.residual + eps
     worst = -math.inf
     for i, j in pairs:
@@ -444,11 +442,17 @@ def test_vectorised_equicontinuity_matches_pair_loop():
         )
         spec = spec.at_lambda(float(rng.uniform(0.1, 0.9)) * uniqueness_threshold(spec))
         report = picard_solve(spec)
-        check = existence_diagnostics(spec, report).checks[1]
-        passed, observed, bound = _diagnostics_by_pair_loop(spec, report)
-        assert check.passed == passed
-        assert abs(check.observed - observed) <= 1e-15 * abs(observed)
-        assert abs(check.bound - bound) <= 1e-15 * abs(bound)
+        # also a ramp from t0 that the modulus bounds over every short step
+        # but not over the whole window, so the pairs with t0 decide
+        nodes = spec.grid.nodes
+        slope = 2.0 * equicontinuity_modulus(spec, nodes[0], nodes[-1]) / spec.span
+        ramp = GridFunction(spec.grid, slope * (nodes - nodes[0]))
+        for rep in (report, replace(report, solution=ramp)):
+            check = existence_diagnostics(spec, rep).checks[1]
+            passed, observed, bound = _diagnostics_by_pair_loop(spec, rep)
+            assert check.passed == passed == (rep is report)
+            assert abs(check.observed - observed) <= 1e-15 * abs(observed)
+            assert abs(check.bound - bound) <= 1e-15 * abs(bound)
 
 
 def test_diagnostics_hold_a_few_arrays_per_node():
@@ -473,6 +477,31 @@ def test_diagnostics_hold_a_few_arrays_per_node():
         tracemalloc.stop()
     assert diag.passed
     assert peak <= 48 * n
+
+
+def test_diagnostics_draw_nothing_at_random(tmp_path):
+    # a fresh interpreter, so no earlier test has imported numpy.random:
+    # the check uses fixed node pairs and must not load the generator
+    script = """
+import sys
+from chronofrac import (
+    ClampedAffine, ProblemSpec, TimeScale, existence_diagnostics, picard_solve,
+)
+spec = ProblemSpec(
+    timescale=TimeScale(((0.0, 1.0), (1.5, 1.5), (2.0, 2.5))),
+    alpha=0.25,
+    lam=0.05,
+    model=ClampedAffine(base=1.0, slope=1.0, lo=1.0, hi=2.0),
+    h_max=0.01,
+)
+assert existence_diagnostics(spec, picard_solve(spec)).passed
+print("numpy.random" in sys.modules)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_gap_increment_can_exceed_the_power_difference_modulus():
