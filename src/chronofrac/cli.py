@@ -292,16 +292,14 @@ def _run_cases(cases: list[OracleCase]) -> tuple[list[str], int]:
 def _refinement_study() -> tuple[list[str], int]:
     """Composition residuals must shrink as the grid refines."""
     ts = TimeScale.interval(0.0, 1.0)
-    errs_di = []
-    errs_id = []
-    for h in (1.0 / 64, 1.0 / 128, 1.0 / 256):
-        g = GridFunction.sample(build_grid(ts, h), lambda s: s)
-        rep = verify_composition(g, 0.5)
-        errs_di.append(rep.err_di)
-        errs_id.append(rep.err_id)
+    reps = [
+        verify_composition(GridFunction.sample(build_grid(ts, h), lambda s: s), 0.5)
+        for h in (1.0 / 64, 1.0 / 128, 1.0 / 256)
+    ]
     lines = []
     failures = 0
-    for label, errs in (("err_DI", errs_di), ("err_ID", errs_id)):
+    for label in ("err_DI", "err_ID"):
+        errs = [rep.to_json()[label] for rep in reps]
         decreasing = all(b < a for a, b in zip(errs, errs[1:]))
         shown = ", ".join(f"{e:.3e}" for e in errs)
         if decreasing:

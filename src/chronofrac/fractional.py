@@ -189,36 +189,36 @@ def _segments(x: np.ndarray, gaps: np.ndarray) -> list[tuple[int, int, float | N
     return segs
 
 
+SOE_STEP = 0.2  # the trapezoidal step in McLean's variable x
+
+
 def _soe(beta: float, delta: float, span: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Rates ``s`` and weights ``w`` of ``sum_l w_l exp(-s_l t)``, which
     approximates the kernel ``t**(beta - 1) / gamma(beta)`` on [delta, span],
     and ``eps``, twice its largest relative error on a log-spaced sample.
 
     The kernel is ``int_0^inf exp(-s t) s**(-beta) ds`` over
-    ``gamma(beta) gamma(1 - beta)``.  Gauss-Jacobi (Golub-Welsch) takes the
-    weight ``s**(-beta)`` on [0, 1/span]; 10-point Gauss-Legendre rules
-    take dyadic panels from there to ``40 / delta``, past which the
-    integrand is below ``exp(-40)`` of its value on [0, 1/delta].
+    ``gamma(beta) gamma(1 - beta)``.  In McLean's ``x``, with
+    ``s = exp(x - exp(-x)) / span``, the integrand decays double
+    exponentially both ways, and its trapezoidal rule of step ``SOE_STEP``
+    has positive rates and weights and errs by about 50 times
+    ``exp(-pi**2 / SOE_STEP)``, or 2e-20 (W. McLean, *Exponential sum
+    approximations for t**(-beta)*, 2018).
     """
-    a = -beta  # Jacobi weight (1 + y)**a on [-1, 1]
-    k = np.arange(16.0)
-    diag = a * a / ((2 * k + a) * (2 * k + a + 2))
-    k = k[1:]
-    off = np.sqrt(4 * k * k * (k + a) ** 2 / ((2 * k + a) ** 2 * ((2 * k + a) ** 2 - 1)))
-    y, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    top = 1.0 / span
-    u, wu = np.polynomial.legendre.leggauss(10)
-    left = top * 2.0 ** np.arange(max(math.ceil(math.log2(40.0 * span / delta)), 1))
-    panel = (left[:, None] * (3.0 + u) / 2.0).ravel()
-    # s = top (1 + y) / 2; the weight's mass on [-1, 1] is 2**(1 + a) / (1 + a)
-    s = np.concatenate([top * (1.0 + y) / 2.0, panel])
-    w = np.concatenate(
-        [
-            top ** (1.0 + a) / (1.0 + a) * vec[0] ** 2,
-            (left[:, None] / 2.0 * wu).ravel() * panel**a,
-        ]
-    ) / (math.gamma(beta) * math.gamma(1.0 - beta))
-    # 64 samples an octave: a panel's error varies over about one octave
+    x = np.arange(-math.log(45.0 / (1.0 - beta)), math.log(50.0 * span / delta) + 1.0, SOE_STEP)
+    # in log space: as beta -> 1 the slowest rates underflow long before w
+    log_s = x - np.exp(-x) - math.log(span)
+    w = np.exp((1.0 - beta) * log_s + np.log1p(np.exp(-x)))
+    w *= SOE_STEP / (math.gamma(beta) * math.gamma(1.0 - beta))
+    s = np.exp(log_s)
+    # keep n terms: the fast ones past them sum to under 1e-17 of the kernel at delta
+    fast = np.cumsum((w * np.exp(-s * delta))[::-1])
+    n = len(s) - np.count_nonzero(fast < 1e-17 * delta ** (beta - 1.0) / math.gamma(beta))
+    # exp(-s t) is 1 to double precision below s span = 2**-60, so the slow
+    # terms there are one term, at the largest of their rates
+    k = max(int(np.searchsorted(s, 2.0**-60 / span)) - 1, 0)
+    w, s = np.concatenate([[w[: k + 1].sum()], w[k + 1 : n]]), s[k:n]
+    # 64 samples an octave: the error oscillates about once per step in x
     t = np.geomspace(delta, span, int(64 * math.log2(span / delta)) + 2)
     err = np.max(np.abs(_decays(t, s, w).sum(axis=1) * math.gamma(beta) * t ** (1.0 - beta) - 1.0))
     return s, w, 2.0 * float(err)
@@ -232,9 +232,9 @@ def _decays(d: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
     return e
 
 
-# series of the hat moment f2 of _moments, for z < 1 where its closed form
-# cancels: coefficient k is (-1)**k / (k + 2)!, and 18 terms reach 1e-17
-_F2 = np.array([(-1.0) ** k / math.factorial(k + 2) for k in range(18)])
+# series of the hat moment f2 of _moments, the highest first, for z < 1 where
+# its closed form cancels: coefficient k is (-1)**k / (k + 2)!, to 1e-17
+_F2 = [(-1.0) ** k / math.factorial(k + 2) for k in reversed(range(18))]
 
 
 def _moments(x, gaps, s, j0: int, j1: int, ref: float, col0: int, ncols: int) -> np.ndarray:
@@ -256,13 +256,16 @@ def _moments(x, gaps, s, j0: int, j1: int, ref: float, col0: int, ncols: int) ->
         # with v = (x_{j+1} - u) / h: f1 = int_0^1 exp(-z v) v dv and
         # f2 = int_0^1 exp(-z v) (1 - v) dv, the weights of g_j and g_{j+1}
         e, em = np.exp(-z), np.expm1(-z)
-        f1 = (-em - z * e) / (z * z)
-        f2 = (z + em) / (z * z)
-        # below z = 1, f2 from its series and f1 from f1 + f2 = -expm1(-z) / z
-        small = z < 1.0
-        zs = z[small]
-        f2[small] = np.polynomial.polynomial.polyval(zs, _F2)
-        f1[small] = -em[small] / zs - f2[small]
+        # f1 + f2 = -em / z; the closed forms f2 = (1 - f1 - f2) / z and
+        # f1 = (f1 + f2 - e) / z cancel below z = 1, where f2 is its series
+        big, zc, f12 = z >= 1.0, np.minimum(z, 1.0), -em / z
+        f2 = np.zeros_like(z)
+        for c in _F2:
+            f2 *= zc
+            f2 += c
+        np.divide(1.0 - f12, z, out=f2, where=big)
+        f1 = f12 - f2
+        np.divide(f12 - e, z, out=f1, where=big)
         jump = gaps[a:b]
         f1[:, jump] = e[:, jump]
         f2[:, jump] = 0.0
@@ -515,8 +518,8 @@ def frac_integral_operator(grid: Grid, order: float) -> KernelOperator:
     """Operator mapping node samples to fractional-integral values, cached
     per (grid, order).  The cap ``DENSE_CAP`` counts the blocks of every
     kind, so the 4 cached operators hold at most 8 GiB of blocks beside
-    their grids; a 4350-node fragmented grid takes 18 MiB, a 20000-point
-    discrete scale 90 MiB.  Raises ``OperatorTooLarge`` before allocating
+    their grids; a 4350-node fragmented grid takes 10 MiB, a 20000-point
+    discrete scale 47 MiB.  Raises ``OperatorTooLarge`` before allocating
     any block when the blocks would pass the cap."""
     return KernelOperator(grid, _alpha_of(order))
 

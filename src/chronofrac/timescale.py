@@ -30,10 +30,9 @@ __all__ = [
 # grid nodes, so boundary lookups never miss by a rounding error.
 SNAP = 1e-12
 # Most nodes ``build_grid`` lays down.  The kernel operator's exponential
-# blocks hold about 4.4-4.9 kB per node: 18 MiB at 4350 fragmented nodes,
-# 128 MB for a 26473-node scattered run.  ``fractional.DENSE_CAP`` counts
-# the bytes of blocks of every kind, so on such grids it binds long before
-# this cap does.
+# blocks hold about 2.5 kB per node (10 MiB at 4350 fragmented nodes, 67 MB
+# for a 26473-node scattered run), and ``fractional.DENSE_CAP`` counts the
+# bytes of every block kind, so on such grids it binds long before this cap.
 MAX_NODES = 5_000_000
 
 

@@ -21,6 +21,7 @@ from chronofrac import (
 from chronofrac.fractional import (
     CHUNK,
     MIN_SEGMENT,
+    SOE_STEP,
     KernelOperator,
     OperatorTooLarge,
     _ExpCross,
@@ -482,22 +483,28 @@ def test_plan_holds_one_block_per_segment_pair():
 
 
 @pytest.mark.parametrize("delta", [4e-3, 1e-4, 1e-6])
-@pytest.mark.parametrize("beta", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("beta", [0.02, 0.05, 0.5, 0.95, 0.98])
 def test_sum_of_exponentials_within_its_stored_error(beta, delta):
     # against t**(beta - 1) / gamma(beta) at points the build never sampled,
-    # the endpoints included
-    span = 36.0
-    s, w, eps = _soe(beta, delta, span)
+    # the endpoints included; the rates scale with span, so short and long
+    # spans are checked alike, and near 1 sigma underflows unless the slow
+    # terms are kept in log space
     rng = np.random.default_rng(11)
-    t = np.exp(rng.uniform(math.log(delta), math.log(span), 20000))
-    t = np.concatenate([[delta, span], t])
-    approx = np.exp(-np.multiply.outer(t, s)) @ w
-    exact = t ** (beta - 1.0) / math.gamma(beta)
-    assert np.all(np.abs(approx - exact) <= eps * exact)
-    assert 0.0 < eps < 1e-14
-    assert np.all(s > 0.0) and np.all(w > 0.0)
-    # 16 Gauss-Jacobi nodes and 10 per dyadic panel up to 40 / delta
-    assert len(s) == 16 + 10 * math.ceil(math.log2(40.0 * span / delta))
+    for span in (2.5, 36.0, 17000.0):
+        s, w, eps = _soe(beta, delta, span)
+        t = np.exp(rng.uniform(math.log(delta), math.log(span), 20000))
+        t = np.concatenate([[delta, span], t])
+        approx = np.exp(-np.multiply.outer(t, s)) @ w
+        exact = t ** (beta - 1.0) / math.gamma(beta)
+        assert np.all(np.abs(approx - exact) <= eps * exact), span
+        assert 0.0 < eps < 1e-14
+        assert np.all(s > 0.0) and np.all(w > 0.0)
+        # at most one term per trapezoidal step of McLean's variable, which
+        # is at most 0.6 of the 16 Gauss-Jacobi nodes and 10 per dyadic
+        # panel up to 40 / delta of the Gauss rules it replaced
+        steps = math.log(50.0 * span / delta) + 1.0 + math.log(45.0 / (1.0 - beta))
+        assert len(s) <= math.ceil(steps / SOE_STEP)
+        assert len(s) <= 0.6 * (16 + 10 * math.ceil(math.log2(40.0 * span / delta)))
 
 
 def test_mixed_plan_has_no_exp_block():

@@ -1,5 +1,7 @@
 import importlib
 import pkgutil
+import subprocess
+import sys
 
 import chronofrac
 
@@ -27,3 +29,27 @@ def test_package_exports_every_library_module_name():
         for public in mod.__all__:
             assert getattr(chronofrac, public, None) is getattr(mod, public), public
             assert public in chronofrac.__all__, public
+
+
+# a child that builds an exponential operator on a fragmented grid and
+# prints every module it imported on the way
+_OPERATOR_IMPORTS = """
+import sys
+from chronofrac import TimeScale, build_grid, frac_integral_operator
+comps = [(0.07 * k, 0.07 * k + (0.04 if k % 2 else 0.0)) for k in range(300)]
+op = frac_integral_operator(build_grid(TimeScale(tuple(comps)), 0.002), 0.3)
+assert op.to_json()["blocks"]["exp"] == 1
+print(" ".join(sys.modules))
+"""
+
+
+def test_operator_imports_neither_scipy_nor_numpy_polynomial():
+    # NumPy is the only dependency, and numpy.polynomial costs 6-10 ms
+    # of import in every CLI call that would touch it
+    proc = subprocess.run(
+        [sys.executable, "-c", _OPERATOR_IMPORTS], capture_output=True, text=True, check=True
+    )
+    modules = set(proc.stdout.split())
+    assert "chronofrac.fractional" in modules
+    banned = [m for m in modules if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial")]
+    assert banned == []
