@@ -59,20 +59,21 @@ def _alpha_of(order: float) -> float:
     return alpha
 
 
-# An interval of at least this many nodes is its own operator segment;
-# shorter components merge into dense runs, where an FFT would not pay.
-# It is also the row-block height of the sum-of-exponentials blocks.
-MIN_SEGMENT = 128
-# ulps of the node magnitude by which a uniform lattice's nodes may stray
+# Rows of the kernel operator go in blocks of this height.  A distinct block
+# holds (B + 1)(B + N) + BN floats for N far-field terms: against 128, 64
+# took the seed-0 fragmented operator from 10.3 to 8.1 MB.
+ROW_BLOCK = 64
+# ulps of the node magnitude by which two row blocks' node offsets may differ
+# and the blocks still share their arrays
 UNIFORM_ULPS = 16
-DENSE_CAP = 2 * 2**30  # bytes of blocks, of every kind, above which an operator is refused
+DENSE_CAP = 2 * 2**30  # bytes of row blocks above which an operator is refused
 # entries per weight-assembly pass, which holds about a dozen temporaries of
 # this size: 2**16 raised the peak memory of a fragmented-grid solve by 5 MiB
 CHUNK = 2**14
 
 
 class OperatorTooLarge(ValueError):
-    """The blocks of a kernel operator would exceed ``DENSE_CAP``."""
+    """The row blocks of a kernel operator would exceed ``DENSE_CAP``."""
 
 
 # a cell no wider than FAR times the distance from its right end to the row
@@ -170,25 +171,6 @@ def _weights(x, gaps, alpha: float, r0: int, r1: int, c0: int, c1: int) -> np.nd
     return out
 
 
-def _lattice_tol(x: np.ndarray) -> float:
-    return UNIFORM_ULPS * np.finfo(float).eps * max(abs(x[0]), abs(x[-1]))
-
-
-def _segments(x: np.ndarray, gaps: np.ndarray) -> list[tuple[int, int, float | None]]:
-    """``(start, stop, h)`` per segment: a long uniform interval with
-    spacing ``h``, or a maximal run of everything else with ``h = None``."""
-    starts = [0, *(np.flatnonzero(gaps) + 1).tolist()]
-    segs: list[tuple[int, int, float | None]] = []
-    for s, e in zip(starts, starts[1:] + [len(x)]):
-        h = (x[e - 1] - x[s]) / (e - s - 1) if e - s >= MIN_SEGMENT else None
-        if h and np.max(np.abs(x[s:e] - (np.arange(e - s) * h + x[s]))) > _lattice_tol(x[s:e]):
-            h = None
-        if h is None and segs and segs[-1][2] is None:
-            s = segs.pop()[0]
-        segs.append((s, e, h))
-    return segs
-
-
 SOE_STEP = 0.2  # the trapezoidal step in McLean's variable x
 
 
@@ -237,196 +219,66 @@ def _decays(d: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
 _F2 = [(-1.0) ** k / math.factorial(k + 2) for k in reversed(range(18))]
 
 
-def _moments(x, gaps, s, j0: int, j1: int, ref: float, col0: int, ncols: int) -> np.ndarray:
-    """(N, ncols) matrix taking samples at columns [col0, col0 + ncols) to
-    the N history sums at ``ref`` of the cells [j0, j1), which end by ref.
-
-    A sum holds ``exp(-s (ref - u))`` integrated against the linear
-    interpolant of the samples over each continuous cell (its left and
-    right hat moments, at columns j and j + 1), or the graininess term
-    ``h exp(-s (ref - x_j))`` of each scattered cell, at column j.  A
-    right hat past the last column is dropped: that column is not here.
+def _moments(x, gaps, s, b0: int, b1: int) -> np.ndarray:
+    """(N, ROW_BLOCK + 1) matrix taking the samples at columns [b0 - 1,
+    b0 + ROW_BLOCK) to the N history sums at ``ref = x[b1 - 1]`` of the
+    cells of the row block [b0, b1) and the cell before it: each holds
+    ``exp(-s (ref - u))`` integrated against the linear interpolant of the
+    samples over a continuous cell (its left and right hat moments, at
+    columns j and j + 1), or ``h exp(-s (ref - x_j))`` for a scattered one.
     """
-    m = np.zeros((len(s), ncols))
-    for a in range(j0, j1, MIN_SEGMENT):
-        b = min(a + MIN_SEGMENT, j1)
-        xr = x[a + 1 : b + 1]
-        h = xr - x[a:b]
-        z = np.multiply.outer(s, h)
-        # with v = (x_{j+1} - u) / h: f1 = int_0^1 exp(-z v) v dv and
-        # f2 = int_0^1 exp(-z v) (1 - v) dv, the weights of g_j and g_{j+1}
-        e, em = np.exp(-z), np.expm1(-z)
-        # f1 + f2 = -em / z; the closed forms f2 = (1 - f1 - f2) / z and
-        # f1 = (f1 + f2 - e) / z cancel below z = 1, where f2 is its series
-        big, zc, f12 = z >= 1.0, np.minimum(z, 1.0), -em / z
-        f2 = np.zeros_like(z)
-        for c in _F2:
-            f2 *= zc
-            f2 += c
-        np.divide(1.0 - f12, z, out=f2, where=big)
-        f1 = f12 - f2
-        np.divide(f12 - e, z, out=f1, where=big)
-        jump = gaps[a:b]
-        f1[:, jump] = e[:, jump]
-        f2[:, jump] = 0.0
-        scale = np.exp(np.multiply.outer(-s, ref - xr)) * h
-        k = a - col0
-        m[:, k : k + b - a] += f1 * scale
-        end = min(k + 1 + b - a, ncols)
-        m[:, k + 1 : end] += (f2 * scale)[:, : end - k - 1]
+    lo = max(b0 - 1, 0)
+    xr = x[lo + 1 : b1]
+    h = xr - x[lo : b1 - 1]
+    z = np.multiply.outer(s, h)
+    # with v = (x_{j+1} - u) / h: f1 = int_0^1 exp(-z v) v dv and
+    # f2 = int_0^1 exp(-z v) (1 - v) dv, the weights of g_j and g_{j+1}
+    e, em = np.exp(-z), np.expm1(-z)
+    # f1 + f2 = -em / z; the closed forms f2 = (1 - f1 - f2) / z and
+    # f1 = (f1 + f2 - e) / z cancel below z = 1, where f2 is its series
+    big, zc, f12 = z >= 1.0, np.minimum(z, 1.0), -em / z
+    f2 = np.zeros_like(z)
+    for c in _F2:
+        f2 *= zc
+        f2 += c
+    np.divide(1.0 - f12, z, out=f2, where=big)
+    f1 = f12 - f2
+    np.divide(f12 - e, z, out=f1, where=big)
+    jump = gaps[lo : b1 - 1]
+    f1[:, jump] = e[:, jump]
+    f2[:, jump] = 0.0
+    scale = np.exp(np.multiply.outer(-s, x[b1 - 1] - xr)) * h
+    m = np.zeros((len(s), ROW_BLOCK + 1))
+    k = lo - b0 + 1
+    m[:, k : k + len(h)] = f1 * scale
+    m[:, k + 1 : k + 1 + len(h)] += f2 * scale
     return m
 
 
-class _DenseBlock:
-    """Explicit weights of rows [r0, r1) at columns [c0, c1), where one
-    side has at most ``MIN_SEGMENT`` nodes."""
-
-    kind = "dense"
-
-    def __init__(self, op, r0, r1, c0, c1):
-        self.r0, self.r1, self.c0, self.c1 = r0, r1, c0, c1
-        self.w = _weights(op.nodes, op.gaps, op.alpha, r0, r1, c0, c1)
-
-    @staticmethod
-    def nbytes(r0, r1, c0, c1, terms):
-        return 8 * (r1 - r0) * (c1 - c0)
-
-    def add_to(self, out: np.ndarray, g: np.ndarray) -> None:
-        out[self.r0 : self.r1] += np.vecdot(self.w, g[self.c0 : self.c1])
-
-
-class _ToeplitzBlock:
-    """Weights of rows [r0, r1) at columns [c0, c1) of one uniform lattice.
-
-    Between the first column and the last a weight depends only on the row
-    index minus the column index, and is applied by FFT convolution.  The
-    first column and the last, which carries the gap weight in rows past
-    it, are held exactly, so the block is exact over the whole pair.
-    """
-
-    kind = "toeplitz"
-
-    def __init__(self, op, r0, r1, c0, c1):
-        x, gaps, alpha = op.nodes, op.gaps, op.alpha
-        self.r0, self.r1, self.c0, self.c1 = r0, r1, c0, c1
-        # one pass gives the first column and the core's first; the
-        # generator comes from the core's exact first row and column:
-        # gen[d + c1 - c0 - 3] is the weight where the row offset minus the
-        # core column offset is d
-        edge = _weights(x, gaps, alpha, r0, r1, c0, c0 + 2)
-        self.first = edge[:, 0].copy()
-        self.last = _weights(x, gaps, alpha, r0, r1, c1 - 1, c1)[:, 0].copy()
-        row = _weights(x, gaps, alpha, r0, r0 + 1, c0 + 2, c1 - 1)[0]
-        gen = np.concatenate([row[::-1], edge[:, 1]])
-        self.size = 1 << (len(gen) - 1).bit_length()
-        self.spectrum = np.fft.rfft(gen, self.size)
-
-    @staticmethod
-    def nbytes(r0, r1, c0, c1, terms):
-        return 16 * ((1 << (r1 - r0 + c1 - c0 - 4).bit_length()) // 2 + 1) + 16 * (r1 - r0)
-
-    def add_to(self, out: np.ndarray, g: np.ndarray) -> None:
-        nc = self.c1 - self.c0 - 2
-        core = np.fft.rfft(g[self.c0 + 1 : self.c1 - 1], self.size)
-        y = np.fft.irfft(core * self.spectrum, self.size)
-        rows = out[self.r0 : self.r1]
-        rows += self.first * g[self.c0]
-        rows += y[nc - 1 : nc - 1 + self.r1 - self.r0]
-        rows += self.last * g[self.c1 - 1]
+def _row_groups(x: np.ndarray, gaps: np.ndarray) -> tuple[np.ndarray, float]:
+    """Per row block, the index of the distinct arrays it reads, and the
+    largest node-offset difference between a block and the arrays it reuses.
+    A block reuses the previous block's arrays when its nodes, from the one
+    before it, lie at the offsets of the nodes they were built on, within
+    ``UNIFORM_ULPS`` ulps of the largest node, with the same gap flags."""
+    B, n = ROW_BLOCK, len(x)
+    tol = UNIFORM_ULPS * np.finfo(float).eps * max(abs(x[0]), abs(x[-1]))
+    group = np.zeros(-(-n // B), dtype=np.intp)
+    dev, ref, ref_gaps = 0.0, np.empty(0), np.empty(0, dtype=bool)
+    for k, b0 in enumerate(range(B, n, B), 1):
+        off, gap = x[b0 - 1 : b0 + B] - x[b0 - 1], gaps[b0 - 1 : b0 + B - 1]
+        d = np.max(np.abs(off - ref)) if len(off) == len(ref) else math.inf
+        if d <= tol and np.array_equal(gap, ref_gaps):
+            group[k], dev = group[k - 1], max(dev, float(d))
+        else:
+            group[k], ref, ref_gaps = group[k - 1] + 1, off, gap
+    return group, dev
 
 
-class _ExpCross:
-    """Weights of rows [r0, r1) at the columns [c0, c1) of an earlier
-    segment, both longer than ``MIN_SEGMENT``, with the kernel replaced by
-    the operator's sum of N exponentials: ``E_R (M_C g_C)``, with ``M_C``
-    the moments of the cells at ``x[c1]`` and ``E_R`` the decays from there
-    to the rows, in O((rows + columns) N) memory."""
-
-    kind = "exp"
-
-    def __init__(self, op, r0, r1, c0, c1):
-        x, s = op.nodes, op.rates
-        self.r0, self.r1, self.c0, self.c1 = r0, r1, c0, c1
-        self.moments = _moments(x, op.gaps, s, c0, c1, x[c1], c0, c1 - c0)
-        self.expo = _decays(x[r0:r1] - x[c1], s, op.weights)
-
-    @staticmethod
-    def reach(x, gaps, r0, r1, c0, c1) -> float:
-        """Distance from the first row to the kernel argument of the last
-        cell: its right end if continuous, its left if scattered."""
-        return float(x[r0] - (x[c1 - 1] if gaps[c1 - 1] else x[c1]))
-
-    @staticmethod
-    def nbytes(r0, r1, c0, c1, terms):
-        return 8 * terms * (r1 - r0 + c1 - c0)
-
-    def add_to(self, out: np.ndarray, g: np.ndarray) -> None:
-        hist = np.vecdot(self.moments, g[self.c0 : self.c1])
-        out[self.r0 : self.r1] += np.vecdot(self.expo, hist)
-
-
-class _ExpDiagonal:
-    """Weights of a segment longer than ``MIN_SEGMENT`` at its own columns,
-    [r0, r1) both, exact near the diagonal and a sum of N exponentials for
-    the kernel on every far cell, in O((r1 - r0) N) memory.
-
-    Rows go in blocks of ``MIN_SEGMENT``.  The cells inside a row block and
-    the one just before it keep their exact weights (``near``).  Every
-    earlier cell is far and enters through N history sums at the node
-    before the block, carried on from block to block:
-    ``H <- exp(-s dx) H + M_b g_b``.
-    """
-
-    kind = "exp"
-
-    def __init__(self, op, r0, r1, c0, c1):
-        x, gaps, s, w = op.nodes, op.gaps, op.rates, op.weights
-        self.r0, self.r1, self.c0, self.c1 = r0, r1, c0, c1
-        B, nb = MIN_SEGMENT, -(-(r1 - r0) // MIN_SEGMENT)
-        self.near = np.zeros((nb, B, B + 1))
-        self.expo = np.zeros((nb, B, len(s)))
-        self.moments = np.zeros((nb, len(s), B + 1))
-        self.decay = np.zeros((nb, len(s)))
-        # row block k takes columns [b0 - 1, b1), the first from cell b0 - 1
-        # alone: the nodes are cut there so no earlier cell adds to it
-        for k, b0 in enumerate(range(r0, r1, B)):
-            b1, lo = min(b0 + B, r1), max(b0 - 1, 0)
-            near = _weights(x[lo:], gaps[lo:], op.alpha, b0 - lo, b1 - lo, 0, b1 - lo)
-            self.near[k, : b1 - b0, lo - b0 + 1 : b1 - b0 + 1] = near
-            if k:
-                self.expo[k, : b1 - b0] = _decays(x[b0:b1] - x[b0 - 1], s, w)
-            if k > 1:
-                self.decay[k] = np.exp(-s * (x[b0 - 1] - x[b0 - 1 - B]))
-            if b1 < r1:
-                j0 = max(b0 - 1, c0)
-                self.moments[k] = _moments(x, gaps, s, j0, b1 - 1, x[b1 - 1], b0 - 1, B + 1)
-
-    @staticmethod
-    def reach(x, gaps, r0, r1, c0, c1) -> float:
-        """Smallest distance from a row block to the kernel argument of its
-        last far cell: the right end if continuous, the left if scattered."""
-        rows = np.arange(r0 + MIN_SEGMENT, r1, MIN_SEGMENT)
-        last = rows - 2
-        return float(np.min(x[rows] - np.where(gaps[last], x[last], x[last + 1])))
-
-    @staticmethod
-    def nbytes(r0, r1, c0, c1, terms):
-        B = MIN_SEGMENT
-        return 8 * -(-(r1 - r0) // B) * (B * terms + terms * (B + 1) + B * (B + 1) + terms)
-
-    def add_to(self, out: np.ndarray, g: np.ndarray) -> None:
-        B, nb = MIN_SEGMENT, len(self.near)
-        # window k holds g at columns [r0 + kB - 1, r0 + (k + 1) B); the
-        # column before the block and the rows past it read zero
-        gp = np.zeros(nb * B + 1)
-        gp[1 : 1 + self.c1 - self.c0] = g[self.c0 : self.c1]
-        gw = np.lib.stride_tricks.sliding_window_view(gp, B + 1)[::B, None, :]
-        inc = np.vecdot(self.moments, gw)
-        hist = np.zeros_like(inc)
-        for k in range(1, nb):
-            hist[k] = self.decay[k] * hist[k - 1] + inc[k - 1]
-        y = np.vecdot(self.near, gw) + np.vecdot(self.expo, hist[:, None, :])
-        out[self.r0 : self.r1] += y.ravel()[: self.r1 - self.r0]
+def _block_bytes(distinct: int, row_blocks: int, terms: int) -> int:
+    """Bytes of an operator's ``near``, ``expo``, ``moments`` and ``decay``."""
+    B = ROW_BLOCK
+    return 8 * (distinct * ((B + 1) * (B + terms) + B * terms) + row_blocks * terms)
 
 
 class KernelOperator:
@@ -434,75 +286,114 @@ class KernelOperator:
 
     Row ``i`` holds quadrature weights against the kernel
     ``(t_i - s)**(alpha - 1) / gamma(alpha)``; the matrix is lower
-    triangular and row 0 is empty.  It is held by blocks between grid
-    segments, one block per pair of segments, of three kinds:
+    triangular and row 0 is empty.  Rows go in blocks of ``ROW_BLOCK``.
+    The cells inside a row block and the one before it keep their exact
+    weights (``near``).  Every earlier cell, across every gap, enters
+    through N history sums at the node before the block, carried on over
+    the whole grid: ``H <- decay H + moments g``, read out by ``expo``, in
+    O(nN) memory and time.  Blocks of equal geometry share ``near``,
+    ``expo`` and ``moments`` (``_row_groups``); ``lattice_dev``, the node
+    offset difference behind that, is not counted in ``eps``.
 
-    - between uniform intervals of one spacing, ``_ToeplitzBlock``: exact,
-      with its edge columns, in O(n) memory and an O(n log n) product;
-    - where either side has at most ``MIN_SEGMENT`` nodes, ``_DenseBlock``;
-    - everywhere else, so on all of a long scattered or fragmented run,
-      ``_ExpDiagonal`` and ``_ExpCross``: exact near the diagonal, and a
-      sum of ``N`` exponentials for the kernel on the far cells, in O(nN).
-
-    The sum's relative kernel error is at most ``eps`` (0 with no such
+    The sum's relative kernel error is at most ``eps`` (0 for one row
     block).  Every weight integrates the kernel against a nonnegative hat,
     so every far weight is within ``eps`` of its exact value, relatively.
-    Arrays are read-only and reachable through attributes and lists.
+    Arrays are read-only attributes, each held once.
     """
 
     def __init__(self, grid: Grid, alpha: float):
         x, gaps = grid.nodes, grid.gap_after
-        segs = _segments(x, gaps)
-        plan = []
-        for r, (r0, r1, hr) in enumerate(segs):
-            for c0, c1, hc in segs[: r + 1]:
-                if hr and hc and abs(hr - hc) * (r1 - r0 + c1 - c0) <= _lattice_tol(x[c0:r1]):
-                    kind = _ToeplitzBlock
-                elif min(r1 - r0, c1 - c0) <= MIN_SEGMENT:
-                    kind = _DenseBlock
-                else:
-                    kind = _ExpDiagonal if r0 == c0 else _ExpCross
-                plan.append((kind, r0, r1, c0, c1))
+        B, n = ROW_BLOCK, len(x)
+        group, self.lattice_dev = _row_groups(x, gaps)
         self.alpha, self.nodes, self.gaps = alpha, x, gaps
-        far = [kind.reach(x, gaps, *span) for kind, *span in plan if kind.kind == "exp"]
-        if far:
-            self.rates, self.weights, self.eps = _soe(alpha, min(far), x[-1] - x[0])
+        # a block's far cells end at the cell two before its first row:
+        # their kernel argument is nearest at its right end if continuous,
+        # at its left if scattered
+        rows = np.arange(B, n, B)
+        last = rows - 2
+        if len(rows):
+            delta = np.min(x[rows] - np.where(gaps[last], x[last], x[last + 1]))
+            self.rates, self.weights, self.eps = _soe(alpha, float(delta), x[-1] - x[0])
         else:
             self.rates, self.weights, self.eps = np.empty(0), np.empty(0), 0.0
-        need = sum(kind.nbytes(*span, len(self.rates)) for kind, *span in plan)
+        s, w, terms = self.rates, self.weights, len(self.rates)
+        distinct = int(group[-1]) + 1
+        need = _block_bytes(distinct, len(group), terms)
         if need > DENSE_CAP:
             raise OperatorTooLarge(
-                f"the kernel operator on {len(x)} nodes needs {need / 2**30:.3g} GiB "
+                f"the kernel operator on {n} nodes needs {need / 2**30:.3g} GiB "
                 f"of blocks, above the {DENSE_CAP / 2**30:.3g} GiB cap"
             )
-        self.blocks = [kind(self, *span) for kind, *span in plan]
-        for arr in self._arrays():
-            arr.setflags(write=False)
-
-    def _arrays(self):
-        yield from (self.nodes, self.gaps, self.rates, self.weights)
-        for b in self.blocks:
-            yield from (a for a in vars(b).values() if isinstance(a, np.ndarray))
+        self.near = np.zeros((distinct, B, B + 1))
+        self.expo = np.zeros((distinct, B, terms))
+        self.moments = np.zeros((distinct, terms, B + 1))
+        # distinct arrays g come from the first block k that reads them; the
+        # near field of block k takes columns [b0 - 1, b1), the first from
+        # cell b0 - 1 alone: the nodes are cut there so no earlier cell adds
+        for g, k in enumerate(np.flatnonzero(np.diff(group, prepend=-1)).tolist()):
+            b0 = k * B
+            b1, lo = min(b0 + B, n), max(b0 - 1, 0)
+            block = _weights(x[lo:], gaps[lo:], alpha, b0 - lo, b1 - lo, 0, b1 - lo)
+            self.near[g, : b1 - b0, lo - b0 + 1 : b1 - b0 + 1] = block
+            if k:
+                self.expo[g, : b1 - b0] = _decays(x[b0:b1] - x[b0 - 1], s, w)
+            self.moments[g] = _moments(x, gaps, s, b0, b1)
+        # decay[k] carries the sums from the node before block k - 1 to the
+        # one before block k; block 1 starts them, so it needs none
+        self.decay = np.zeros((len(group), terms))
+        ends = rows[1:] - 1
+        self.decay[2:] = np.exp(np.multiply.outer(x[ends - B] - x[ends], s))
+        # runs of blocks: one set of arrays for all of them, or the blocks'
+        # own consecutive sets
+        starts = np.flatnonzero(np.diff(group, prepend=-1, append=-1)).tolist()
+        self.runs = []
+        for k0, k1 in zip(starts, starts[1:]):
+            shared = k1 - k0 > 1
+            if not shared and self.runs and not self.runs[-1][3]:
+                k0 = self.runs.pop()[0]
+            self.runs.append((k0, k1, int(group[k0]), shared))
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
 
     def to_json(self) -> dict:
-        """Block counts per kind, bytes, and the far field's term count and
-        kernel error: fixed by the grid and order, so equal run to run."""
+        """Row blocks, distinct blocks, bytes, and the far field's term
+        count, kernel error and lattice deviation: fixed by the grid and
+        order, so equal run to run."""
         return {
-            "blocks": {
-                k: sum(b.kind == k for b in self.blocks) for k in ("toeplitz", "dense", "exp")
-            },
-            "bytes": sum(a.nbytes for a in self._arrays()),
+            "row_blocks": len(self.decay),
+            "distinct_blocks": len(self.near),
+            "bytes": sum(a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray)),
             "soe_terms": len(self.rates),
             "eps": self.eps,
+            "lattice_dev": self.lattice_dev,
         }
+
+    def _per_block(self, a: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``a[group[k]] @ v[k]`` for every row block k."""
+        out = np.empty((len(v), a.shape[1]))
+        for k0, k1, g, shared in self.runs:
+            if shared:
+                out[k0:k1] = v[k0:k1] @ a[g].T
+            else:
+                out[k0:k1] = np.vecdot(a[g : g + k1 - k0], v[k0:k1, None, :])
+        return out
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         """The product ``W @ g``: the fractional integral at every node."""
-        out = np.zeros(len(self.nodes))
-        for block in self.blocks:
-            block.add_to(out, g)
-        out[0] = 0.0  # the empty window, exactly, whatever the FFT rounds to
-        return out
+        B, n, nb = ROW_BLOCK, len(self.nodes), len(self.decay)
+        # window k holds g at columns [kB - 1, (k + 1) B); the column before
+        # the grid and the rows past it read zero
+        gp = np.zeros(nb * B + 1)
+        gp[1 : n + 1] = g
+        gw = np.lib.stride_tricks.sliding_window_view(gp, B + 1)[::B]
+        inc = self._per_block(self.moments, gw)
+        hist = np.zeros_like(inc)
+        for d, i, prev, h in zip(self.decay[1:], inc, hist, hist[1:]):
+            np.multiply(d, prev, out=h)
+            h += i
+        y = self._per_block(self.near, gw) + self._per_block(self.expo, hist)
+        return y.ravel()[:n]
 
     def row(self, i: int) -> np.ndarray:
         """Read-only weight row ``i``, assembled exactly; ``IndexError``
@@ -516,11 +407,12 @@ class KernelOperator:
 @lru_cache(maxsize=4)
 def frac_integral_operator(grid: Grid, order: float) -> KernelOperator:
     """Operator mapping node samples to fractional-integral values, cached
-    per (grid, order).  The cap ``DENSE_CAP`` counts the blocks of every
-    kind, so the 4 cached operators hold at most 8 GiB of blocks beside
-    their grids; a 4350-node fragmented grid takes 10 MiB, a 20000-point
-    discrete scale 47 MiB.  Raises ``OperatorTooLarge`` before allocating
-    any block when the blocks would pass the cap."""
+    per (grid, order).  The cap ``DENSE_CAP`` counts the row blocks, so the
+    4 cached operators hold at most 8 GiB of blocks beside their grids; a
+    4350-node fragmented grid takes 7.7 MiB, a 20000-point discrete scale
+    38 MiB and a 5004-node grid of two uniform intervals 0.66 MiB.  Raises
+    ``OperatorTooLarge`` before allocating any block when the blocks would
+    pass the cap."""
     return KernelOperator(grid, _alpha_of(order))
 
 

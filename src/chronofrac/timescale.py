@@ -29,10 +29,11 @@ __all__ = [
 # Absolute tolerance for snapping query points onto interval endpoints and
 # grid nodes, so boundary lookups never miss by a rounding error.
 SNAP = 1e-12
-# Most nodes ``build_grid`` lays down.  The kernel operator's exponential
-# blocks hold about 2.5 kB per node (10 MiB at 4350 fragmented nodes, 67 MB
-# for a 26473-node scattered run), and ``fractional.DENSE_CAP`` counts the
-# bytes of every block kind, so on such grids it binds long before this cap.
+# Most nodes ``build_grid`` lays down.  The kernel operator's row blocks
+# hold about 2 kB per node where no two blocks are alike (7.7 MiB at 4350
+# fragmented nodes, 53 MB at 26473), so ``fractional.DENSE_CAP`` binds near
+# a million such nodes; uniform intervals share their blocks and stay
+# under this cap.
 MAX_NODES = 5_000_000
 
 
@@ -235,9 +236,9 @@ class Grid:
         )
 
     def __hash__(self) -> int:
-        # O(1) in the node count: the operator cache hashes the grid on
-        # every application of K
-        return hash((self.timescale, self.h_max, len(self.nodes)))
+        # O(1), reading no node or component: the operator cache hashes it per K
+        ts = self.timescale
+        return hash((ts.t0, ts.T, len(ts.components), self.h_max, len(self.nodes)))
 
     def index_of(self, t: float) -> int:
         """Index of the node equal to ``t`` up to the snap tolerance."""
@@ -290,8 +291,14 @@ def build_grid(ts: TimeScale, h_max: float) -> Grid:
         raise GridTooLarge(
             f"h_max={h_max!r} gives a grid of {count:.7g} nodes, above the {MAX_NODES} node cap"
         )
-    parts = [np.linspace(a, b, int(n) + 1) for a, b, n in zip(lo, hi, cells)]
-    return Grid(ts, np.concatenate(parts), float(h_max))
+    # every component in one pass, as np.linspace lays each down: node k of
+    # n cells is k ((b - a) / n) + a, and the last is b itself
+    sizes = cells.astype(np.intp) + 1
+    ends, comp = np.cumsum(sizes) - 1, np.repeat(np.arange(len(sizes)), sizes)
+    step = np.divide(hi - lo, cells, out=np.zeros_like(cells), where=cells > 0)
+    nodes = (np.arange(len(comp)) - (ends - sizes + 1)[comp]) * step[comp] + lo[comp]
+    nodes[ends] = hi
+    return Grid(ts, nodes, float(h_max))
 
 
 @dataclass(frozen=True, eq=False)

@@ -47,17 +47,6 @@ def fragmented_scale(rng: np.random.Generator, count: int) -> TimeScale:
     return TimeScale(tuple(comps))
 
 
-def over_cap_components() -> list[tuple[float, float]]:
-    """Ten runs of 120 isolated points, each before a unit interval: at
-    h_max = 4e-5 the thin dense blocks between the runs and the 25001-node
-    intervals need 2.29 GiB, above the operator cap."""
-    comps: list[tuple[float, float]] = []
-    for i in range(10):
-        comps += [(3.0 * i + 0.01 * k,) * 2 for k in range(120)]
-        comps.append((3.0 * i + 1.5, 3.0 * i + 2.5))
-    return comps
-
-
 @pytest.fixture
 def random_scale():
     return make_scale

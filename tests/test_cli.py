@@ -10,7 +10,7 @@ import pytest
 
 from chronofrac import fractional, picard_solve, problem_from_json, solver
 from chronofrac.cli import main
-from conftest import fragmented_scale, over_cap_components
+from conftest import fragmented_scale
 
 CONSTANT_PROBLEM = {
     "time_scale": [[0.0, 1.0]],
@@ -332,16 +332,19 @@ def test_sweep_builds_one_grid_and_one_operator(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])
-def test_operator_over_memory_cap_exits_one(tmp_path, capsys, command):
-    # runs of isolated points against long intervals: 2.29 GiB of thin
-    # dense blocks
-    cfg = write_config(
-        tmp_path, {**AFFINE_PROBLEM, "time_scale": over_cap_components(), "h_max": 4e-5}
-    )
+def test_operator_over_memory_cap_exits_one(tmp_path, capsys, monkeypatch, command):
+    # a 4350-node fragmented scale needs 7.7 MiB of row blocks: over a cap
+    # lowered to 1 MiB it is refused, as a real over-cap scale would be,
+    # without the seconds such a scale takes to lay down
+    monkeypatch.setattr(fractional, "DENSE_CAP", 2**20)
+    fractional.frac_integral_operator.cache_clear()
+    rng = np.random.default_rng(17)
+    scale = [list(c) for c in fragmented_scale(rng, 600).components]
+    cfg = write_config(tmp_path, {**AFFINE_PROBLEM, "time_scale": scale, "h_max": 0.005})
     args = [command, "--config", cfg, "--out", str(tmp_path / "out")]
     assert main(args + (SWEEP_FLAGS if command == "sweep" else [])) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "needs 2.29 GiB" in err
+    assert err.startswith("error: ") and "GiB of blocks, above the 0.000977 GiB cap" in err
     assert "Traceback" not in err
 
 
@@ -360,13 +363,13 @@ def test_unequal_long_intervals_solve_in_memory_linear_in_n_terms(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     n, terms = 41669, report["operator"]["soe_terms"]
-    assert report["converged"] and report["operator"]["blocks"]["exp"] == 1
+    assert report["converged"] and report["operator"]["distinct_blocks"] <= 5
     assert 0 < terms < 128 and peak < 2 * 8 * n * terms
 
 
 def test_report_describes_the_operator(tmp_path):
-    # block counts, bytes, terms and kernel error: no timings, so the
-    # report stays byte-identical from run to run
+    # block counts, bytes, terms, kernel error and lattice deviation: no
+    # timings, so the report stays byte-identical from run to run
     rng = np.random.default_rng(17)
     scale = [list(c) for c in fragmented_scale(rng, 100).components]
     cfg = write_config(tmp_path, {**AFFINE_PROBLEM, "time_scale": scale, "h_max": 0.005})
@@ -376,8 +379,8 @@ def test_report_describes_the_operator(tmp_path):
     text = (tmp_path / "a" / "report.json").read_bytes()
     assert text == (tmp_path / "b" / "report.json").read_bytes()
     op = json.loads(text)["operator"]
-    assert set(op) == {"blocks", "bytes", "soe_terms", "eps"}
-    assert op["blocks"] == {"toeplitz": 0, "dense": 0, "exp": 1}
+    assert set(op) == {"row_blocks", "distinct_blocks", "bytes", "soe_terms", "eps", "lattice_dev"}
+    assert 0 < op["distinct_blocks"] <= op["row_blocks"] and op["lattice_dev"] >= 0.0
     assert op["soe_terms"] > 0 and 0.0 < op["eps"] < 1e-14 and op["bytes"] > 0
     assert "solution" not in json.loads(text)
 

@@ -20,13 +20,12 @@ from chronofrac import (
 )
 from chronofrac.fractional import (
     CHUNK,
-    MIN_SEGMENT,
+    ROW_BLOCK,
     SOE_STEP,
     KernelOperator,
     OperatorTooLarge,
-    _ExpCross,
+    _block_bytes,
     _hat_weights,
-    _segments,
     _soe,
     _weights,
 )
@@ -35,7 +34,7 @@ from chronofrac.oracles import (
     brute_force_discrete_derivative,
     closed_form_power_integral,
 )
-from conftest import fragmented_scale, make_scale, over_cap_components
+from conftest import fragmented_scale, make_scale
 
 
 # -- reference weights ----------------------------------------------------
@@ -370,18 +369,21 @@ def test_operator_matrix_cached_and_read_only():
 
 def test_operator_arrays_reachable_without_closures():
     # the benchmark's fractional.operator_mib walks attributes, lists,
-    # tuples and dicts; an array held only by a closure would read as 0
-    grid = build_grid(TimeScale(((0.0, 1.0), (1.5, 1.5), (2.0, 2.5))), 1.0 / 256)
+    # tuples and dicts; an array held only by a closure would read as 0,
+    # and a view of a shared array would count its bytes again
+    grid = build_grid(TimeScale(((0.0, 1.0), (1.5, 1.5), (2.0, 2.5))), 1.0 / 2048)
     op = KernelOperator(grid, 0.5)
     leaves = (np.ndarray, int, float, bool, str, type(None), np.floating)
     for obj in _reachable(op).values():
         assert not callable(obj)
         assert isinstance(obj, leaves + (dict, list, tuple)) or hasattr(obj, "__dict__")
-    kinds = {type(b).__name__ for b in op.blocks}
-    assert kinds == {"_ToeplitzBlock", "_DenseBlock"}
-    nbytes = sum(a.nbytes for a in _reachable(op).values() if isinstance(a, np.ndarray))
-    assert nbytes >= sum(b.spectrum.nbytes for b in op.blocks if hasattr(b, "spectrum"))
-    assert nbytes < 8 * len(grid) ** 2 / 10  # far below the dense matrix
+    arrays = [a for a in _reachable(op).values() if isinstance(a, np.ndarray)]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+    summary = op.to_json()
+    assert sum(a.nbytes for a in arrays) == summary["bytes"]
+    assert summary["distinct_blocks"] < summary["row_blocks"]
+    assert summary["bytes"] < 8 * len(grid) ** 2 / 10  # far below the dense matrix
 
 
 def _long_interval_scale(rng: np.random.Generator, h: float) -> TimeScale:
@@ -402,11 +404,14 @@ def _long_interval_scale(rng: np.random.Generator, h: float) -> TimeScale:
 
 
 def _reference_grids(rng):
-    # long intervals of equal and unequal spacing, then fragmented and
-    # discrete scales of three row blocks or more, which have no long interval
+    # long intervals of equal and unequal spacing, single uniform intervals,
+    # then fragmented and discrete scales of three row blocks or more
     for _ in range(12):
         h = float(rng.uniform(0.002, 0.01))
         yield build_grid(_long_interval_scale(rng, h), h)
+    for _ in range(2):
+        a = float(rng.uniform(-2.0, 2.0))
+        yield build_grid(TimeScale.interval(a, a + float(rng.uniform(1.0, 3.0))), 0.005)
     for _ in range(4):
         yield build_grid(fragmented_scale(rng, int(rng.integers(60, 120))), 0.005)
     for _ in range(4):
@@ -414,26 +419,39 @@ def _reference_grids(rng):
         yield build_grid(TimeScale.from_points(pts.tolist()), 1.0)
 
 
+def _lattice_tol(x: np.ndarray) -> float:
+    # the largest node-offset difference a shared row block may hide
+    return fractional.UNIFORM_ULPS * np.finfo(float).eps * np.max(np.abs(x))
+
+
+def _block_groups(op: KernelOperator) -> list[int]:
+    """Per row block, the index of the distinct arrays it reads."""
+    group: list[int] = []
+    for k0, k1, g, shared in op.runs:
+        assert k0 == len(group) and k1 > k0
+        group += [g] * (k1 - k0) if shared else list(range(g, g + k1 - k0))
+    return group
+
+
 def test_structured_operator_matches_dense_reference():
     rng = np.random.default_rng(2024)
-    seen = {"toeplitz_cross": 0, "exp_between_long": 0, "exp_diagonal": 0, "exp_cross": 0}
+    shared = unshared = 0
     for grid in _reference_grids(rng):
         alpha = float(rng.uniform(0.02, 0.98))
         x = grid.nodes
         n = len(x)
         dense = _weight_columns(x, grid.gap_after, alpha, 0, n, 0, n)
         op = KernelOperator(grid, alpha)
-        long_starts = {s for s, e, hs in _segments(x, grid.gap_after) if hs}
-        for b in op.blocks:
-            cross = b.r0 >= b.c1
-            if b.kind == "exp":
-                seen["exp_cross" if cross else "exp_diagonal"] += 1
-                assert b.r1 - b.r0 > MIN_SEGMENT and b.c1 - b.c0 > MIN_SEGMENT
-                assert isinstance(b, _ExpCross) == cross
-                seen["exp_between_long"] += b.r0 in long_starts and b.c0 in long_starts
-            seen["toeplitz_cross"] += b.kind == "toeplitz" and cross
-        assert (op.eps > 0.0) == any(b.kind == "exp" for b in op.blocks)
-        assert op.eps < 1e-14
+        summary = op.to_json()
+        assert summary["row_blocks"] == -(-n // ROW_BLOCK) >= 3
+        if summary["distinct_blocks"] < summary["row_blocks"]:
+            shared += 1
+        else:
+            unshared += 1
+        if len(grid.timescale.components) == 1:
+            # a uniform interval: the first block, the interior, the last
+            assert summary["distinct_blocks"] <= 3
+        assert 0.0 < op.eps < 1e-14
         for g in (rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 2.0, n)):
             y = op.apply(g)
             ref = dense @ g
@@ -447,39 +465,59 @@ def test_structured_operator_matches_dense_reference():
             assert np.all(row >= 0.0)
         assert np.all(dense >= 0.0)
         # every weight, near or far, and every far-field factor is nonnegative
-        for b in op.blocks:
-            for name in ("w", "first", "last", "near", "expo", "moments", "decay"):
-                if hasattr(b, name):
-                    assert np.all(getattr(b, name) >= 0.0)
+        for arr in (op.near, op.expo, op.moments, op.decay):
+            assert np.all(arr >= 0.0)
         arrays = [a for a in _reachable(op).values() if isinstance(a, np.ndarray)]
         assert all(not a.flags.writeable for a in arrays)
-    # long intervals of unequal spacing give the cross blocks
-    assert all(seen.values()), seen
+    assert shared and unshared
 
 
-def test_plan_holds_one_block_per_segment_pair():
-    # S segments give S (S + 1) / 2 blocks, in the order of the pairs; a
-    # Toeplitz block's edge columns are the exact one-column weights, and
-    # its two-column pass gives the generator column bit for bit too
+def test_row_blocks_share_arrays_of_equal_geometry():
+    # a row block reads the arrays of its group's first block: they are its
+    # own near field, decays and moments, to within the lattice deviation;
+    # and a block whose nodes and gaps repeat that first block's exactly
+    # always joins it
     rng = np.random.default_rng(2024)
-    toeplitz = 0
+    B, shared = ROW_BLOCK, 0
     for grid in _reference_grids(rng):
-        x, gaps = grid.nodes, grid.gap_after
+        x, gaps, n = grid.nodes, grid.gap_after, len(grid)
         alpha = float(rng.uniform(0.02, 0.98))
-        segs = [(s, e) for s, e, _ in _segments(x, gaps)]
-        pairs = [(r0, r1, c0, c1) for i, (r0, r1) in enumerate(segs) for c0, c1 in segs[: i + 1]]
         op = KernelOperator(grid, alpha)
-        assert [(b.r0, b.r1, b.c0, b.c1) for b in op.blocks] == pairs
-        assert len(op.blocks) == len(segs) * (len(segs) + 1) // 2
-        for b in op.blocks:
-            if b.kind == "toeplitz":
-                toeplitz += 1
-                r0, r1, c0, c1 = b.r0, b.r1, b.c0, b.c1
-                col = [_weights(x, gaps, alpha, r0, r1, c, c + 1)[:, 0] for c in (c0, c0 + 1)]
-                col.append(_weights(x, gaps, alpha, r0, r1, c1 - 1, c1)[:, 0])
-                assert np.array_equal(b.first, col[0]) and np.array_equal(b.last, col[2])
-                assert np.array_equal(_weights(x, gaps, alpha, r0, r1, c0, c0 + 2)[:, 1], col[1])
-    assert toeplitz
+        s, w = op.rates, op.weights
+        group = _block_groups(op)
+        assert len(group) == len(op.decay) == -(-n // B)
+        assert group[0] == 0 and group[-1] == len(op.near) - 1
+        assert all(b - a in (0, 1) for a, b in zip(group, group[1:]))
+        first, dev = {}, 0.0
+        for k, g in enumerate(group):
+            b0, b1 = k * B, min(k * B + B, n)
+            lo = max(b0 - 1, 0)
+            off, gp = x[lo:b1] - x[lo], gaps[lo : b1 - 1]
+            if g not in first:
+                # the previous group's first block, when it has a node
+                # before it, differs from this block
+                if k and group[k - 1] in first:
+                    k0, off0, gp0 = first[group[k - 1]]
+                    same = k0 and len(off0) == len(off) and np.array_equal(off0, off)
+                    assert not (same and np.array_equal(gp0, gp))
+                first[g] = (k, off, gp)
+                continue
+            shared += 1
+            k0, off0, gp0 = first[g]
+            assert k0 > 0 and len(off0) == len(off) == B + 1
+            assert np.array_equal(gp0, gp)
+            d = float(np.max(np.abs(off - off0)))
+            assert d <= _lattice_tol(x)
+            dev = max(dev, d)
+            own = (
+                _weights(x[lo:], gaps[lo:], alpha, b0 - lo, b1 - lo, 0, b1 - lo),
+                fractional._decays(x[b0:b1] - x[b0 - 1], s, w),
+                fractional._moments(x, gaps, s, b0, b1),
+            )
+            for held, mine in zip((op.near[g], op.expo[g], op.moments[g]), own):
+                assert np.max(np.abs(held - mine)) <= 1e-12 * np.max(mine)
+        assert op.lattice_dev == dev
+    assert shared
 
 
 @pytest.mark.parametrize("delta", [4e-3, 1e-4, 1e-6])
@@ -507,43 +545,52 @@ def test_sum_of_exponentials_within_its_stored_error(beta, delta):
         assert len(s) <= 0.6 * (16 + 10 * math.ceil(math.log2(40.0 * span / delta)))
 
 
-def test_mixed_plan_has_no_exp_block():
-    # the benchmark's mixed scale: equal spacings, so Toeplitz and thin
-    # dense blocks only, with exact weights and no kernel error
+def test_mixed_scale_shares_its_row_blocks():
+    # the benchmark's mixed scale: its two intervals have one spacing, so
+    # the first block, one per interval, the one across the gaps and the
+    # short last one are all the distinct blocks there are
     grid = build_grid(TimeScale(((0.0, 1.0), (1.5, 1.5), (2.0, 2.5))), 3e-4)
     op = KernelOperator(grid, 0.5)
-    assert {b.kind for b in op.blocks} == {"toeplitz", "dense"}
-    assert op.eps == 0.0 and len(op.rates) == 0
     summary = op.to_json()
-    assert summary["blocks"] == {"toeplitz": 3, "dense": 3, "exp": 0}
-    assert summary["soe_terms"] == 0 and summary["eps"] == 0.0
+    assert summary["row_blocks"] == -(-len(grid) // ROW_BLOCK) == 79
+    assert summary["distinct_blocks"] <= 5
+    assert summary["bytes"] < 1_000_000
+    assert 0 < summary["soe_terms"] < 128 and 0.0 < summary["eps"] < 1e-14
+    assert 0.0 <= summary["lattice_dev"] <= _lattice_tol(grid.nodes)
 
 
-def test_admission_counts_the_bytes_of_every_block_kind():
-    # the estimate made before any block is built is each block's size
+def test_admission_estimate_equals_the_bytes_held():
+    # the estimate made before any array is built is the bytes of the row
+    # blocks: distinct near, expo and moments, and one decay per block
     rng = np.random.default_rng(3)
     grids = [
         build_grid(TimeScale(((0.0, 1.0), (1.5, 1.5), (2.0, 2.5))), 1.0 / 300),
         build_grid(TimeScale(((0.0, 1.0), (1.5, 1.5), (2.0, 2.7))), 1.0 / 300),
         build_grid(fragmented_scale(rng, 80), 0.005),
+        build_grid(TimeScale.interval(0.0, 1.0), 0.05),
     ]
-    kinds = set()
     for grid in grids:
         op = KernelOperator(grid, 0.3)
-        for b in op.blocks:
-            kinds.add(b.kind)
-            held = sum(a.nbytes for a in vars(b).values() if isinstance(a, np.ndarray))
-            assert type(b).nbytes(b.r0, b.r1, b.c0, b.c1, len(op.rates)) == held
-    assert kinds == {"toeplitz", "dense", "exp"}
+        summary = op.to_json()
+        held = sum(a.nbytes for a in (op.near, op.expo, op.moments, op.decay))
+        need = _block_bytes(summary["distinct_blocks"], summary["row_blocks"], summary["soe_terms"])
+        assert need == held
+        assert summary["bytes"] == held + sum(
+            a.nbytes for a in (op.nodes, op.gaps, op.rates, op.weights)
+        )
 
 
-def test_operator_refuses_dense_blocks_over_the_cap():
-    # thin dense blocks can still be huge: ten runs of 120 isolated points
-    # against ten 25001-node intervals need 2.29 GiB
-    grid = build_grid(TimeScale(tuple(over_cap_components())), 4e-5)
+def _scattered_points(n: int) -> TimeScale:
+    return TimeScale.from_points(np.cumsum(np.random.default_rng(7).uniform(0.2, 1.5, n)).tolist())
+
+
+def test_operator_refuses_row_blocks_over_the_cap():
+    # 1.2e6 scattered points share no row block: 18750 distinct blocks of
+    # about 2.2 kB a node need 2.6 GiB, refused before any block is built
+    grid = build_grid(_scattered_points(1_200_000), 1.0)
     tracemalloc.start()
     try:
-        with pytest.raises(OperatorTooLarge, match=r"needs 2\.29 GiB of blocks, above the 2 GiB"):
+        with pytest.raises(OperatorTooLarge, match=r"needs 2\.6 GiB of blocks, above the 2 GiB"):
             frac_integral_operator(grid, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -553,7 +600,8 @@ def test_operator_refuses_dense_blocks_over_the_cap():
 
 def test_unequal_long_intervals_build_in_memory_linear_in_n_terms():
     # the 25001 x 16668 cross block between spacings 6e-5 and 1/16667 once
-    # needed 3.1 GiB dense and was refused; it is now one far-field block
+    # needed 3.1 GiB dense and was refused; each interval now shares one set
+    # of row-block arrays, and the far field crosses the gap
     grid = build_grid(TimeScale(((0.0, 1.0), (2.0, 3.5))), 6e-5)
     n = len(grid)
     tracemalloc.start()
@@ -563,7 +611,7 @@ def test_unequal_long_intervals_build_in_memory_linear_in_n_terms():
     finally:
         tracemalloc.stop()
     terms = len(op.rates)
-    assert op.to_json()["blocks"] == {"toeplitz": 2, "dense": 0, "exp": 1}
+    assert op.to_json()["distinct_blocks"] <= 5
     assert 0 < terms < 128 and peak < 2 * 8 * n * terms
     g = np.ones(n)
     y = op.apply(g)
@@ -573,10 +621,9 @@ def test_unequal_long_intervals_build_in_memory_linear_in_n_terms():
 
 
 def test_discrete_scale_of_20000_points_builds_in_linear_memory():
-    # once refused at 2.98 GiB dense: an exact near band of 128 columns and
-    # N history terms per node; the far weights are exact kernel sums
-    pts = np.cumsum(np.random.default_rng(7).uniform(0.2, 1.5, 20000))
-    grid = build_grid(TimeScale.from_points(pts.tolist()), 1.0)
+    # once refused at 2.98 GiB dense: no two row blocks alike, so each holds
+    # its exact near field and N history terms a node
+    grid = build_grid(_scattered_points(20000), 1.0)
     n = len(grid)
     tracemalloc.start()
     try:
@@ -585,12 +632,54 @@ def test_discrete_scale_of_20000_points_builds_in_linear_memory():
     finally:
         tracemalloc.stop()
     terms = len(op.rates)
-    assert op.to_json()["blocks"] == {"toeplitz": 0, "dense": 0, "exp": 1}
-    assert peak < 8 * n * (3 * terms + 2 * MIN_SEGMENT)
+    assert op.to_json()["distinct_blocks"] == op.to_json()["row_blocks"]
+    assert peak < 8 * n * (3 * terms + 2 * ROW_BLOCK)
     g = np.random.default_rng(1).uniform(0.5, 2.0, n)
     y = op.apply(g)
     for i in (300, 5000, n - 1):
         ref = float(_weights(grid.nodes, grid.gap_after, 0.5, i, i + 1, 0, n)[0] @ g)
+        assert abs(y[i] - ref) <= 1e-12 * ref
+
+
+def test_discrete_scale_of_1e5_points_shares_between_its_holes():
+    # the integers with 30 holes: a hole changes at most the two row blocks
+    # whose cells hold it and starts one new group after them, so the
+    # operator holds under 128 bytes a node, against 2.2 kB unshared
+    rng = np.random.default_rng(19)
+    holes = rng.choice(np.arange(1, 100_029), 30, replace=False)
+    pts = np.delete(np.arange(100_030.0), holes)
+    grid = build_grid(TimeScale.from_points(pts.tolist()), 1.0)
+    n = len(grid)
+    op = KernelOperator(grid, 0.5)
+    summary = op.to_json()
+    assert n == 100_000 and summary["distinct_blocks"] <= 3 * 30 + 3
+    held = sum(a.nbytes for a in (op.near, op.expo, op.moments, op.decay))
+    need = _block_bytes(summary["distinct_blocks"], summary["row_blocks"], summary["soe_terms"])
+    assert need == held and summary["bytes"] < 128 * n
+    g = np.random.default_rng(2).uniform(0.5, 2.0, n)
+    y = op.apply(g)
+    for i in (777, 54321, n - 1):
+        ref = float(op.row(i) @ g)
+        assert abs(y[i] - ref) <= 1e-12 * ref
+
+
+def test_fragmented_scale_of_many_long_intervals_builds_in_linear_memory():
+    # 600 components at h_max = 7e-4: dozens of intervals past 128 nodes,
+    # whose segment pairs once needed 3.2 GiB of blocks; the far field now
+    # crosses every gap, in O(nN) memory
+    grid = build_grid(fragmented_scale(np.random.default_rng(0), 600), 7e-4)
+    n = len(grid)
+    tracemalloc.start()
+    try:
+        op = KernelOperator(grid, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n > 20000 and peak < 100e6
+    g = np.random.default_rng(3).uniform(0.5, 2.0, n)
+    y = op.apply(g)
+    for i in (2000, n // 2, n - 1):
+        ref = float(op.row(i) @ g)
         assert abs(y[i] - ref) <= 1e-12 * ref
 
 

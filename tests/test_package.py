@@ -31,21 +31,25 @@ def test_package_exports_every_library_module_name():
             assert public in chronofrac.__all__, public
 
 
-# a child that builds an exponential operator on a fragmented grid and
-# prints every module it imported on the way
+# a child that builds operators on a fragmented grid and on the mixed scale
+# of long uniform intervals, and prints every module it imported on the way
 _OPERATOR_IMPORTS = """
 import sys
 from chronofrac import TimeScale, build_grid, frac_integral_operator
 comps = [(0.07 * k, 0.07 * k + (0.04 if k % 2 else 0.0)) for k in range(300)]
 op = frac_integral_operator(build_grid(TimeScale(tuple(comps)), 0.002), 0.3)
-assert op.to_json()["blocks"]["exp"] == 1
+assert op.to_json()["soe_terms"] > 0
+mixed = TimeScale(((0.0, 1.0), (1.5, 1.5), (2.0, 2.5)))
+op = frac_integral_operator(build_grid(mixed, 3e-4), 0.5)
+assert op.to_json()["distinct_blocks"] < op.to_json()["row_blocks"]
 print(" ".join(sys.modules))
 """
 
 
 def test_operator_imports_neither_scipy_nor_numpy_polynomial():
     # NumPy is the only dependency, and numpy.polynomial costs 6-10 ms
-    # of import in every CLI call that would touch it
+    # of import in every CLI call that would touch it; no operator takes
+    # an FFT either
     proc = subprocess.run(
         [sys.executable, "-c", _OPERATOR_IMPORTS], capture_output=True, text=True, check=True
     )
@@ -53,3 +57,4 @@ def test_operator_imports_neither_scipy_nor_numpy_polynomial():
     assert "chronofrac.fractional" in modules
     banned = [m for m in modules if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial")]
     assert banned == []
+    assert "numpy.fft" not in modules

@@ -591,7 +591,7 @@ def test_bounds_carry_the_kernel_error_of_the_far_field():
     )
     report = picard_solve(spec)
     eps = report.operator["eps"]
-    assert report.operator["blocks"]["exp"] == 1 and 0.0 < eps < 1e-14
+    assert report.operator["row_blocks"] == 7 and 0.0 < eps < 1e-14
     assert report.q == 0.0 and report.trace[-1] == 0.0
     assert report.apriori_bound == eps * report.sup_bound > 0.0
     grid = spec.grid

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from chronofrac import SNAP, Grid, GridFunction, TimeScale, build_grid, delta_integral
 from chronofrac.timescale import GridTooLarge
-from conftest import make_scale
+from conftest import fragmented_scale, make_scale
 
 
 # -- construction and validation ------------------------------------------
@@ -188,6 +188,40 @@ def test_build_grid_rejects_bad_h():
     # counted from the components before any node is laid down
     with pytest.raises(GridTooLarge, match=r"1e\+12 nodes, above the 5000000 node cap"):
         build_grid(TimeScale(((0.0, 1.0), (2.0, 2.0))), 1e-12)
+
+
+def test_build_grid_nodes_equal_linspace_per_component():
+    # one vectorised pass lays down, byte for byte, what np.linspace gives
+    # each component: k ((b - a) / n) + a, with the last node b itself
+    rng = np.random.default_rng(23)
+    for i in range(60):
+        if i % 3 == 0:
+            ts = make_scale(rng)
+        elif i % 3 == 1:
+            ts = fragmented_scale(rng, int(rng.integers(1, 80)))
+        else:
+            pts = np.cumsum(rng.uniform(1e-3, 2.0, int(rng.integers(2, 60))))
+            ts = TimeScale.from_points((pts - rng.uniform(0.0, 50.0)).tolist())
+        h_max = float(np.exp(rng.uniform(np.log(1e-3), np.log(2.0))))
+        parts = []
+        for lo, hi in ts.components:
+            cells = max(1, math.ceil((hi - lo) / h_max - SNAP)) if hi > lo else 0
+            parts.append(np.linspace(lo, hi, cells + 1))
+        assert build_grid(ts, h_max).nodes.tobytes() == np.concatenate(parts).tobytes()
+
+
+def test_grid_hash_reads_neither_nodes_nor_components(monkeypatch):
+    # the operator cache hashes the grid on every application of K: equal
+    # grids hash equal without hashing their scale's components
+    ts = TimeScale(((0.0, 1.0), (1.5, 1.5), (2.0, 2.5)))
+    grid, rebuilt = build_grid(ts, 0.01), build_grid(TimeScale(ts.components), 0.01)
+
+    def refuse(self):
+        raise AssertionError("TimeScale hashed")
+
+    monkeypatch.setattr(TimeScale, "__hash__", refuse)
+    assert grid is not rebuilt and grid == rebuilt and hash(grid) == hash(rebuilt)
+    assert build_grid(ts, 0.02) != grid
 
 
 def test_grid_rejects_foreign_node():
