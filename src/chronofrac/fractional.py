@@ -60,9 +60,12 @@ def _alpha_of(order: float) -> float:
 
 
 # Rows of the kernel operator go in blocks of this height.  A distinct block
-# holds (B + 1)(B + N) + BN floats for N far-field terms: against 128, 64
-# took the seed-0 fragmented operator from 10.3 to 8.1 MB.
-ROW_BLOCK = 64
+# holds (B + 1)(B + N) + BN floats for N far-field terms, and its near field,
+# B + 1 floats a row, is about half zeros.  Against 64, 32 (with N from 82 to
+# 66 at SOE_STEP 0.25) took the seed-0 fragmented operator from 8.1 to
+# 5.9 MB, at the same apply time; 16 saved 0.4 MB more but applied about
+# 30 % slower.
+ROW_BLOCK = 32
 # ulps of the node magnitude by which two row blocks' node offsets may differ
 # and the blocks still share their arrays
 UNIFORM_ULPS = 16
@@ -171,7 +174,7 @@ def _weights(x, gaps, alpha: float, r0: int, r1: int, c0: int, c1: int) -> np.nd
     return out
 
 
-SOE_STEP = 0.2  # the trapezoidal step in McLean's variable x
+SOE_STEP = 0.25  # the trapezoidal step in McLean's variable x
 
 
 def _soe(beta: float, delta: float, span: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -184,8 +187,10 @@ def _soe(beta: float, delta: float, span: float) -> tuple[np.ndarray, np.ndarray
     ``s = exp(x - exp(-x)) / span``, the integrand decays double
     exponentially both ways, and its trapezoidal rule of step ``SOE_STEP``
     has positive rates and weights and errs by about 50 times
-    ``exp(-pi**2 / SOE_STEP)``, or 2e-20 (W. McLean, *Exponential sum
-    approximations for t**(-beta)*, 2018).
+    ``exp(-pi**2 / SOE_STEP)``, or 4e-16 at the step 0.25 (W. McLean,
+    *Exponential sum approximations for t**(-beta)*, 2018).  That is below
+    the 1e-15 or so by which the sum rounds, which sets ``eps``, so a finer
+    step would only add terms.
     """
     x = np.arange(-math.log(45.0 / (1.0 - beta)), math.log(50.0 * span / delta) + 1.0, SOE_STEP)
     # in log space: as beta -> 1 the slowest rates underflow long before w
@@ -214,44 +219,59 @@ def _decays(d: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
     return e
 
 
-# series of the hat moment f2 of _moments, the highest first, for z < 1 where
-# its closed form cancels: coefficient k is (-1)**k / (k + 2)!, to 1e-17
-_F2 = [(-1.0) ** k / math.factorial(k + 2) for k in reversed(range(18))]
+# series of the hat moment f2 of _moments in -z, the highest term first, for
+# z < 1 where its closed form cancels: term k is (-z)**k / (k + 2)!, to 1e-17
+_F2 = [1.0 / math.factorial(k + 2) for k in reversed(range(18))]
 
 
-def _moments(x, gaps, s, b0: int, b1: int) -> np.ndarray:
-    """(N, ROW_BLOCK + 1) matrix taking the samples at columns [b0 - 1,
-    b0 + ROW_BLOCK) to the N history sums at ``ref = x[b1 - 1]`` of the
+def _moments(x, gaps, s, firsts: np.ndarray) -> np.ndarray:
+    """(G, N, ROW_BLOCK + 1) matrices, one per row block ``k`` of
+    ``firsts``, each taking the samples at columns [b0 - 1, b0 + ROW_BLOCK),
+    ``b0 = k ROW_BLOCK``, to the N history sums at ``ref = x[b1 - 1]`` of the
     cells of the row block [b0, b1) and the cell before it: each holds
     ``exp(-s (ref - u))`` integrated against the linear interpolant of the
     samples over a continuous cell (its left and right hat moments, at
     columns j and j + 1), or ``h exp(-s (ref - x_j))`` for a scattered one.
+    Each pass takes whole blocks, up to ``CHUNK`` entries.
     """
-    lo = max(b0 - 1, 0)
-    xr = x[lo + 1 : b1]
-    h = xr - x[lo : b1 - 1]
-    z = np.multiply.outer(s, h)
-    # with v = (x_{j+1} - u) / h: f1 = int_0^1 exp(-z v) v dv and
-    # f2 = int_0^1 exp(-z v) (1 - v) dv, the weights of g_j and g_{j+1}
-    e, em = np.exp(-z), np.expm1(-z)
-    # f1 + f2 = -em / z; the closed forms f2 = (1 - f1 - f2) / z and
-    # f1 = (f1 + f2 - e) / z cancel below z = 1, where f2 is its series
-    big, zc, f12 = z >= 1.0, np.minimum(z, 1.0), -em / z
-    f2 = np.zeros_like(z)
-    for c in _F2:
-        f2 *= zc
-        f2 += c
-    np.divide(1.0 - f12, z, out=f2, where=big)
-    f1 = f12 - f2
-    np.divide(f12 - e, z, out=f1, where=big)
-    jump = gaps[lo : b1 - 1]
-    f1[:, jump] = e[:, jump]
-    f2[:, jump] = 0.0
-    scale = np.exp(np.multiply.outer(-s, x[b1 - 1] - xr)) * h
-    m = np.zeros((len(s), ROW_BLOCK + 1))
-    k = lo - b0 + 1
-    m[:, k : k + len(h)] = f1 * scale
-    m[:, k + 1 : k + 1 + len(h)] += f2 * scale
+    B, n, N = ROW_BLOCK, len(x), len(s)
+    m = np.zeros((len(firsts), N, B + 1))
+    step = max(CHUNK // max(N * B, 1), 1)
+    for g in range(0, len(firsts), step):
+        b0 = firsts[g : g + step, None, None] * B
+        # cell j of column c is b0 - 1 + c; the cells before the grid and
+        # past the block are clipped onto real ones and scaled by 0
+        j = b0 - 1 + np.arange(B)
+        ok = (j >= 0) & (j < n - 1)
+        j = np.clip(j, 0, n - 2)
+        h = x[j + 1] - x[j]
+        nz = -s[:, None] * h
+        # with z = s h and v = (x_{j+1} - u) / h: f1 = int_0^1 exp(-z v) v dv
+        # and f2 = int_0^1 exp(-z v) (1 - v) dv, the weights of g_j and g_{j+1}
+        e, f12 = np.exp(nz), np.expm1(nz)
+        # f12 = f1 + f2 = -expm1(-z) / z; the closed forms f2 = (1 - f12) / z
+        # and f1 = (f12 - e) / z cancel below z = 1, where f2 is its series
+        f12 /= nz
+        small = nz > -1.0
+        zs = nz[small]
+        f = np.zeros_like(zs)
+        for c in _F2:
+            f *= zs
+            f += c
+        f2 = np.empty_like(nz)
+        f2[small] = f
+        np.divide(f12 - 1.0, nz, out=f2, where=~small)
+        f1 = f12 - f2
+        np.divide(e - f12, nz, out=f1, where=~small)
+        jump = gaps[j] & ok
+        np.copyto(f1, e, where=jump)
+        np.copyto(f2, 0.0, where=jump)
+        ref = x[np.minimum(b0 + B, n) - 1]
+        scale = np.exp(-s[:, None] * (ref - x[j + 1]))
+        scale *= h * ok
+        np.multiply(f1, scale, out=m[g : g + step, :, :B])
+        f2 *= scale
+        m[g : g + step, :, 1:] += f2
     return m
 
 
@@ -324,20 +344,22 @@ class KernelOperator:
                 f"the kernel operator on {n} nodes needs {need / 2**30:.3g} GiB "
                 f"of blocks, above the {DENSE_CAP / 2**30:.3g} GiB cap"
             )
+        # distinct arrays g come from the first block k that reads them
+        firsts = np.flatnonzero(np.diff(group, prepend=-1))
+        self.moments = _moments(x, gaps, s, firsts)
+        # expo reads the sums at the node before the block from each of its
+        # rows; block 0 has no sums, and rows past the grid read none
+        r = firsts[:, None] * B + np.arange(B)
+        self.expo = _decays(x[np.minimum(r, n - 1)] - x[np.maximum(r[:, :1] - 1, 0)], s, w)
+        self.expo[(r >= n) | (r < B)] = 0.0
+        # the near field of block k takes columns [b0 - 1, b1), the first
+        # from cell b0 - 1 alone: the nodes are cut there so no earlier cell adds
         self.near = np.zeros((distinct, B, B + 1))
-        self.expo = np.zeros((distinct, B, terms))
-        self.moments = np.zeros((distinct, terms, B + 1))
-        # distinct arrays g come from the first block k that reads them; the
-        # near field of block k takes columns [b0 - 1, b1), the first from
-        # cell b0 - 1 alone: the nodes are cut there so no earlier cell adds
-        for g, k in enumerate(np.flatnonzero(np.diff(group, prepend=-1)).tolist()):
+        for g, k in enumerate(firsts.tolist()):
             b0 = k * B
             b1, lo = min(b0 + B, n), max(b0 - 1, 0)
             block = _weights(x[lo:], gaps[lo:], alpha, b0 - lo, b1 - lo, 0, b1 - lo)
             self.near[g, : b1 - b0, lo - b0 + 1 : b1 - b0 + 1] = block
-            if k:
-                self.expo[g, : b1 - b0] = _decays(x[b0:b1] - x[b0 - 1], s, w)
-            self.moments[g] = _moments(x, gaps, s, b0, b1)
         # decay[k] carries the sums from the node before block k - 1 to the
         # one before block k; block 1 starts them, so it needs none
         self.decay = np.zeros((len(group), terms))
@@ -409,8 +431,8 @@ def frac_integral_operator(grid: Grid, order: float) -> KernelOperator:
     """Operator mapping node samples to fractional-integral values, cached
     per (grid, order).  The cap ``DENSE_CAP`` counts the row blocks, so the
     4 cached operators hold at most 8 GiB of blocks beside their grids; a
-    4350-node fragmented grid takes 7.7 MiB, a 20000-point discrete scale
-    38 MiB and a 5004-node grid of two uniform intervals 0.66 MiB.  Raises
+    4350-node fragmented grid takes 5.6 MiB, a 20000-point discrete scale
+    28 MiB and a 5004-node grid of two uniform intervals 0.33 MiB.  Raises
     ``OperatorTooLarge`` before allocating any block when the blocks would
     pass the cap."""
     return KernelOperator(grid, _alpha_of(order))

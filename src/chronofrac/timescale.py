@@ -9,7 +9,6 @@ graininess-weighted sums at the right-scattered points.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -30,10 +29,9 @@ __all__ = [
 # grid nodes, so boundary lookups never miss by a rounding error.
 SNAP = 1e-12
 # Most nodes ``build_grid`` lays down.  The kernel operator's row blocks
-# hold about 2 kB per node where no two blocks are alike (7.7 MiB at 4350
-# fragmented nodes, 53 MB at 26473), so ``fractional.DENSE_CAP`` binds near
-# a million such nodes; uniform intervals share their blocks and stay
-# under this cap.
+# hold about 1.4 kB per node where no two blocks are alike (5.6 MiB at 4350
+# fragmented nodes), so ``fractional.DENSE_CAP`` binds near 1.3 million
+# such nodes; uniform intervals share their blocks and stay under this cap.
 MAX_NODES = 5_000_000
 
 
@@ -66,22 +64,31 @@ class TimeScale:
     """
 
     components: tuple[tuple[float, float], ...]
+    # read-only (k, 2) array of the [lo, hi] components, checked once
+    _bounds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        comps = tuple((float(lo), float(hi)) for lo, hi in self.components)
-        object.__setattr__(self, "components", comps)
-        if not comps:
+        if not len(self.components):
             raise ValueError("time scale needs at least one component")
-        for lo, hi in comps:
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError("component endpoints must be finite")
-            if hi < lo:
-                raise ValueError(f"component [{lo}, {hi}] is reversed")
-        for (_, hi), (lo, _) in zip(comps, comps[1:]):
-            if lo <= hi:
-                raise ValueError("components must be disjoint and strictly sorted")
-        if not comps[0][0] < comps[-1][1]:
+        bounds = np.array(self.components, dtype=float)
+        if bounds.ndim != 2 or bounds.shape[1] != 2:
+            raise ValueError("components must be (lo, hi) pairs")
+        bounds.setflags(write=False)
+        lo, hi = bounds.T
+        if not np.isfinite(bounds).all():
+            raise ValueError("component endpoints must be finite")
+        if (hi < lo).any():
+            k = int(np.argmax(hi < lo))
+            raise ValueError(f"component [{lo[k]}, {hi[k]}] is reversed")
+        if (lo[1:] <= hi[:-1]).any():
+            raise ValueError("components must be disjoint and strictly sorted")
+        if not lo[0] < hi[-1]:
             raise ValueError("time scale must span a nondegenerate window")
+        # the tuples of a discrete scale share one float per point
+        lows = lo.tolist()
+        highs = lows if np.array_equal(lo, hi) else hi.tolist()
+        object.__setattr__(self, "components", tuple(zip(lows, highs)))
+        object.__setattr__(self, "_bounds", bounds)
 
     # -- basic geometry --------------------------------------------------
 
@@ -94,13 +101,6 @@ class TimeScale:
     def T(self) -> float:
         """Right endpoint of the scale."""
         return self.components[-1][1]
-
-    @cached_property
-    def _bounds(self) -> np.ndarray:
-        """Read-only ``(k, 2)`` array of the ``[lo, hi]`` components."""
-        bounds = np.array(self.components)
-        bounds.setflags(write=False)
-        return bounds
 
     def _component_of(self, t) -> np.ndarray:
         # component index per point of t, snapping onto endpoints; -1 off the scale
@@ -159,8 +159,8 @@ class TimeScale:
     @classmethod
     def from_points(cls, points: Iterable[float]) -> TimeScale:
         """A fully discrete scale made of the given isolated points."""
-        pts = sorted(set(float(p) for p in points))
-        return cls(tuple((p, p) for p in pts))
+        pts = np.unique(np.fromiter(points, dtype=float))
+        return cls(np.stack([pts, pts], axis=1))
 
     @classmethod
     def integers(cls, a: int, b: int) -> TimeScale:

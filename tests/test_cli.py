@@ -333,7 +333,7 @@ def test_sweep_builds_one_grid_and_one_operator(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 def test_operator_over_memory_cap_exits_one(tmp_path, capsys, monkeypatch, command):
-    # a 4350-node fragmented scale needs 7.7 MiB of row blocks: over a cap
+    # a 4350-node fragmented scale needs 5.6 MiB of row blocks: over a cap
     # lowered to 1 MiB it is refused, as a real over-cap scale would be,
     # without the seconds such a scale takes to lay down
     monkeypatch.setattr(fractional, "DENSE_CAP", 2**20)

@@ -68,6 +68,34 @@ def _weight_columns(x, gaps, alpha, r0, r1, c0, c1):
     return np.maximum(w, 0.0, out=w)
 
 
+def _block_moments(x, gaps, s, b0, b1):
+    """The far field's moments of row block [b0, b1), one block at a time, as
+    the library built them before its batched passes: every f2 by its
+    18-term series below z = 1, independent of the per-rate term counts."""
+    lo = max(b0 - 1, 0)
+    xr = x[lo + 1 : b1]
+    h = xr - x[lo : b1 - 1]
+    z = np.multiply.outer(s, h)
+    e, em = np.exp(-z), np.expm1(-z)
+    big, zc, f12 = z >= 1.0, np.minimum(z, 1.0), -em / z
+    f2 = np.zeros_like(z)
+    for k in reversed(range(18)):
+        f2 *= zc
+        f2 += (-1.0) ** k / math.factorial(k + 2)
+    np.divide(1.0 - f12, z, out=f2, where=big)
+    f1 = f12 - f2
+    np.divide(f12 - e, z, out=f1, where=big)
+    jump = gaps[lo : b1 - 1]
+    f1[:, jump] = e[:, jump]
+    f2[:, jump] = 0.0
+    scale = np.exp(np.multiply.outer(-s, x[b1 - 1] - xr)) * h
+    m = np.zeros((len(s), ROW_BLOCK + 1))
+    k = lo - b0 + 1
+    m[:, k : k + len(h)] = f1 * scale
+    m[:, k + 1 : k + 1 + len(h)] += f2 * scale
+    return m
+
+
 def _assert_weights_exact(grid, alpha, r0, r1, c0, c1):
     w = _weights(grid.nodes, grid.gap_after, alpha, r0, r1, c0, c1)
     assert w.shape == (r1 - r0, c1 - c0)
@@ -512,12 +540,34 @@ def test_row_blocks_share_arrays_of_equal_geometry():
             own = (
                 _weights(x[lo:], gaps[lo:], alpha, b0 - lo, b1 - lo, 0, b1 - lo),
                 fractional._decays(x[b0:b1] - x[b0 - 1], s, w),
-                fractional._moments(x, gaps, s, b0, b1),
+                _block_moments(x, gaps, s, b0, b1),
             )
             for held, mine in zip((op.near[g], op.expo[g], op.moments[g]), own):
                 assert np.max(np.abs(held - mine)) <= 1e-12 * np.max(mine)
         assert op.lattice_dev == dev
     assert shared
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+def test_batched_moments_equal_the_per_block_formula(alpha):
+    # on the benchmark's three kinds of grid, every held moment of every
+    # distinct block, passes and per-rate series lengths included, is the
+    # one-block formula's to 4e-16 relative
+    mixed = TimeScale(((0.0, 1.0), (1.5, 1.5), (2.0, 2.5)))
+    grids = (
+        build_grid(mixed, 3e-4),
+        build_grid(mixed, 6e-4),
+        build_grid(fragmented_scale(np.random.default_rng(0), 600), 0.005),
+    )
+    for grid in grids:
+        x, gaps, n = grid.nodes, grid.gap_after, len(grid)
+        op = KernelOperator(grid, alpha)
+        group = _block_groups(op)
+        firsts = [group.index(g) for g in range(len(op.near))]
+        for g, k in enumerate(firsts):
+            b0 = k * ROW_BLOCK
+            ref = _block_moments(x, gaps, op.rates, b0, min(b0 + ROW_BLOCK, n))
+            assert np.all(np.abs(op.moments[g] - ref) <= 4e-16 * np.abs(ref))
 
 
 @pytest.mark.parametrize("delta", [4e-3, 1e-4, 1e-6])
@@ -552,9 +602,9 @@ def test_mixed_scale_shares_its_row_blocks():
     grid = build_grid(TimeScale(((0.0, 1.0), (1.5, 1.5), (2.0, 2.5))), 3e-4)
     op = KernelOperator(grid, 0.5)
     summary = op.to_json()
-    assert summary["row_blocks"] == -(-len(grid) // ROW_BLOCK) == 79
+    assert summary["row_blocks"] == -(-len(grid) // ROW_BLOCK) == 157
     assert summary["distinct_blocks"] <= 5
-    assert summary["bytes"] < 1_000_000
+    assert summary["bytes"] < 500_000
     assert 0 < summary["soe_terms"] < 128 and 0.0 < summary["eps"] < 1e-14
     assert 0.0 <= summary["lattice_dev"] <= _lattice_tol(grid.nodes)
 
@@ -584,18 +634,31 @@ def _scattered_points(n: int) -> TimeScale:
     return TimeScale.from_points(np.cumsum(np.random.default_rng(7).uniform(0.2, 1.5, n)).tolist())
 
 
-def test_operator_refuses_row_blocks_over_the_cap():
-    # 1.2e6 scattered points share no row block: 18750 distinct blocks of
-    # about 2.2 kB a node need 2.6 GiB, refused before any block is built
+def test_operator_refuses_row_blocks_over_the_cap(monkeypatch):
+    # 1.2e6 scattered points share no row block: 37500 distinct blocks of
+    # about 1.7 kB a node need 1.94 GiB, refused under a 1 GiB cap before
+    # any block is built
+    monkeypatch.setattr(fractional, "DENSE_CAP", 2**30)
     grid = build_grid(_scattered_points(1_200_000), 1.0)
     tracemalloc.start()
     try:
-        with pytest.raises(OperatorTooLarge, match=r"needs 2\.6 GiB of blocks, above the 2 GiB"):
+        with pytest.raises(OperatorTooLarge, match=r"needs 1\.94 GiB of blocks, above the 1 GiB"):
             frac_integral_operator(grid, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_fragmented_operator_holds_its_error_budget_in_bytes():
+    # row blocks of 32 and McLean's step of 0.25: a 600-component
+    # fragmented scale's operator holds under 6.2 MB (8.1 MB at blocks of
+    # 64 and step 0.2), with its kernel error still under 1.5e-15
+    grid = build_grid(fragmented_scale(np.random.default_rng(1), 600), 0.005)
+    summary = KernelOperator(grid, 0.5).to_json()
+    assert summary["distinct_blocks"] == summary["row_blocks"] == -(-len(grid) // ROW_BLOCK)
+    assert summary["bytes"] < 6_200_000
+    assert 0.0 < summary["eps"] < 1.5e-15
 
 
 def test_unequal_long_intervals_build_in_memory_linear_in_n_terms():
@@ -644,7 +707,7 @@ def test_discrete_scale_of_20000_points_builds_in_linear_memory():
 def test_discrete_scale_of_1e5_points_shares_between_its_holes():
     # the integers with 30 holes: a hole changes at most the two row blocks
     # whose cells hold it and starts one new group after them, so the
-    # operator holds under 128 bytes a node, against 2.2 kB unshared
+    # operator holds under 128 bytes a node, against 1.5 kB unshared
     rng = np.random.default_rng(19)
     holes = rng.choice(np.arange(1, 100_029), 30, replace=False)
     pts = np.delete(np.arange(100_030.0), holes)

@@ -43,6 +43,24 @@ def test_rejects_nonfinite():
         TimeScale(((0.0, math.inf),))
 
 
+def test_rejects_components_that_are_not_pairs():
+    for comps in (((0.0, 1.0, 2.0),), ((0.0,),), ((0.0, 1.0), (2.0,))):
+        with pytest.raises(ValueError):
+            TimeScale(comps)
+
+
+def test_components_are_float_pairs_beside_their_bounds():
+    # any number type in, Python float tuples stored, and one read-only
+    # array of the same bounds that every check ran on
+    ts = TimeScale([[0, 1], (np.float32(1.5), 1.5), [2, 2.5]])
+    assert ts.components == ((0.0, 1.0), (1.5, 1.5), (2.0, 2.5))
+    assert all(type(v) is float for c in ts.components for v in c)
+    assert not ts._bounds.flags.writeable
+    assert np.array_equal(ts._bounds, np.array(ts.components))
+    assert ts == TimeScale(ts.components) and hash(ts) == hash(TimeScale(ts.components))
+    assert "_bounds" not in repr(ts)
+
+
 def test_endpoints():
     ts = TimeScale(((-1.0, 0.5), (2.0, 2.0)))
     assert ts.t0 == -1.0
@@ -52,6 +70,9 @@ def test_endpoints():
 def test_from_points_sorts_and_dedupes():
     ts = TimeScale.from_points([3.0, 1.0, 2.0, 1.0])
     assert ts.components == ((1.0, 1.0), (2.0, 2.0), (3.0, 3.0))
+    assert TimeScale.from_points(p for p in (3, 1, 2, 1)) == ts
+    with pytest.raises(ValueError, match="finite"):
+        TimeScale.from_points([0.0, 1.0, math.nan])
 
 
 def test_json_round_trip():
