@@ -5,9 +5,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from importlib import resources
 from pathlib import Path
+from typing import NoReturn
 
 from .fractional import OperatorTooLarge, frac_integral, gamma_fn, verify_composition
 from .oracles import (
@@ -28,7 +30,7 @@ from .solver import (
     uniqueness_threshold,
 )
 from .conductivity import ClampedAffine, model_from_json
-from .timescale import GridFunction, GridTooLarge, TimeScale, build_grid
+from .timescale import GridFunction, GridTooLarge, TimeScale, build_grid, json_number
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -129,9 +131,12 @@ def _sweep_range(args, config: dict) -> list[float]:
         raise ConfigError("field 'sweep' must be an object")
 
     def pick(flag_value, key):
-        if flag_value is not None:
+        if flag_value is not None or section.get(key) is None:
             return flag_value
-        return section.get(key)
+        try:
+            return json_number(section[key], f"field '{key}' of 'sweep'")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     lam_min = pick(args.lambda_min, "lambda_min")
     lam_max = pick(args.lambda_max, "lambda_max")
@@ -141,10 +146,6 @@ def _sweep_range(args, config: dict) -> list[float]:
             "sweep needs lambda_min, lambda_max and lambda_step "
             "(flags --lambda-min/--lambda-max/--lambda-step or a 'sweep' config section)"
         )
-    try:
-        lam_min, lam_max, step = float(lam_min), float(lam_max), float(step)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("sweep bounds and step must be numbers") from exc
     if not all(math.isfinite(x) for x in (lam_min, lam_max, step)):
         raise ConfigError("sweep bounds and step must be finite")
     if step <= 0:
@@ -387,5 +388,17 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> NoReturn:
+    """Process entry point: ``main()``, then flush and end the process.
+
+    ``os._exit`` skips interpreter teardown, which is mostly NumPy's
+    module teardown and costs tens of milliseconds after the last output
+    is written.  Every output file is closed before ``main()`` returns,
+    so only the standard streams need flushing.  An exception from
+    ``main()`` or from a flush propagates, and the normal exit prints it.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when the descriptor was closed at start
+            stream.flush()
+    os._exit(code)

@@ -14,6 +14,8 @@ from typing import ClassVar
 
 import numpy as np
 
+from .timescale import json_number
+
 __all__ = [
     "ConductivityModel",
     "Constant",
@@ -177,21 +179,21 @@ def model_from_json(data: dict) -> ConductivityModel:
     if not isinstance(data, dict) or "family" not in data:
         raise ValueError("conductivity JSON must be an object with a 'family' field")
     family = data["family"]
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         known = ", ".join(sorted(_FAMILIES))
-        raise ValueError(f"unknown conductivity family '{family}' (known: {known})")
-    try:
-        params = {}
-        for field in fields(_FAMILIES[family]):
-            if field.name not in data:
-                raise ValueError(
-                    f"conductivity field '{field.name}' is required for family '{family}'"
-                )
-            # scalars are floats; the table's breakpoints and values, tuples
-            convert = tuple if str(field.type).startswith("tuple") else float
-            params[field.name] = convert(data[field.name])
-        return _FAMILIES[family](**params)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ValueError) and str(exc):
-            raise
-        raise ValueError(f"invalid parameters for conductivity family '{family}'") from exc
+        raise ValueError(f"unknown conductivity family {family!r} (known: {known})")
+    params = {}
+    for field in fields(_FAMILIES[family]):
+        if field.name not in data:
+            raise ValueError(
+                f"conductivity field '{field.name}' is required for family '{family}'"
+            )
+        name, value = f"conductivity field '{field.name}'", data[field.name]
+        # scalars are numbers; the table's breakpoints and values, arrays of them
+        if not str(field.type).startswith("tuple"):
+            params[field.name] = json_number(value, name)
+        elif isinstance(value, (list, tuple)):
+            params[field.name] = tuple(json_number(v, f"an entry of {name}") for v in value)
+        else:
+            raise ValueError(f"{name} must be an array of numbers")
+    return _FAMILIES[family](**params)

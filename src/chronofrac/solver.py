@@ -25,7 +25,7 @@ import numpy as np
 
 from .conductivity import ConductivityModel, model_from_json
 from .fractional import frac_integral_operator, gamma_fn
-from .timescale import Grid, GridFunction, TimeScale, build_grid
+from .timescale import Grid, GridFunction, TimeScale, build_grid, json_number
 
 __all__ = [
     "ProblemSpec",
@@ -120,28 +120,24 @@ def problem_from_json(data: dict) -> ProblemSpec:
             raise ValueError(f"missing required field '{key}'")
         return data[key]
 
-    def number(key, value):
-        try:
-            return float(value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"field '{key}' must be a number") from exc
-
     ts = TimeScale.from_json(need("time_scale"))
     model = model_from_json(need("conductivity"))
     kwargs = {
         "timescale": ts,
-        "alpha": number("alpha", need("alpha")),
-        "lam": number("lambda", need("lambda")),
+        "alpha": json_number(need("alpha"), "field 'alpha'"),
+        "lam": json_number(need("lambda"), "field 'lambda'"),
         "model": model,
     }
     for key, attr in (("h_max", "h_max"), ("tol", "tol"), ("theta", "theta")):
         if key in data and data[key] is not None:
-            kwargs[attr] = number(key, data[key])
-    if "max_iter" in data and data["max_iter"] is not None:
-        try:
-            kwargs["max_iter"] = int(data["max_iter"])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError("field 'max_iter' must be an integer") from exc
+            kwargs[attr] = json_number(data[key], f"field '{key}'")
+    max_iter = data.get("max_iter")
+    if max_iter is not None:
+        if isinstance(max_iter, float) and max_iter.is_integer():
+            max_iter = int(max_iter)
+        if isinstance(max_iter, bool) or not isinstance(max_iter, int):
+            raise ValueError("field 'max_iter' must be an integer")
+        kwargs["max_iter"] = max_iter
     return ProblemSpec(**kwargs)
 
 

@@ -39,6 +39,18 @@ class GridTooLarge(ValueError):
     """``build_grid`` would lay down more than ``MAX_NODES`` nodes."""
 
 
+def json_number(value, name: str) -> float:
+    """``value`` as a float when it is a JSON number.  ``float`` alone
+    would also take a string or a boolean; here they raise ``ValueError``
+    naming ``name``, as does an integer beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is out of the float range") from None
+
+
 def _snap_index(lo: np.ndarray, hi: np.ndarray, t) -> np.ndarray:
     """Per point of ``t``, the index of the last sorted closed range
     ``[lo, hi]`` starting at or below ``t + SNAP``, when ``t`` lies in it
@@ -175,13 +187,16 @@ class TimeScale:
 
     @classmethod
     def from_json(cls, data: Sequence[Sequence[float]]) -> TimeScale:
-        try:
-            comps = tuple((float(pair[0]), float(pair[1])) for pair in data)
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ValueError(
-                "time scale JSON must be an array of [lo, hi] pairs"
-            ) from exc
-        return cls(comps)
+        shape = "field 'time_scale' must be an array of [lo, hi] pairs"
+        if not isinstance(data, (list, tuple)):
+            raise ValueError(shape)
+        comps = []
+        for i, pair in enumerate(data):
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise ValueError(f"{shape}; entry {i} is {pair!r}")
+            name = f"an end of field 'time_scale' entry {i}"
+            comps.append((json_number(pair[0], name), json_number(pair[1], name)))
+        return cls(tuple(comps))
 
 
 @dataclass(frozen=True, eq=False)

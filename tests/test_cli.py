@@ -1,9 +1,12 @@
 import json
 import math
+import os
+import re
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ import pytest
 from chronofrac import fractional, picard_solve, problem_from_json, solver
 from chronofrac.cli import main
 from conftest import fragmented_scale
+
+ROOT = Path(__file__).resolve().parents[1]
 
 CONSTANT_PROBLEM = {
     "time_scale": [[0.0, 1.0]],
@@ -108,6 +113,98 @@ def test_solve_rejects_malformed_json(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["solve", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
     assert "not valid JSON" in capsys.readouterr().err
+
+
+AFFINE = AFFINE_PROBLEM["conductivity"]
+TABLE = {"family": "table", "breakpoints": [0.0, 1.0], "values": [1.0, 2.0]}
+SWEEP = {"lambda_min": 0.0, "lambda_max": 0.04, "lambda_step": 0.02}
+PAIRS = "field 'time_scale' must be an array of [lo, hi] pairs"
+
+
+@pytest.mark.parametrize(
+    "command,change,message",
+    [
+        pytest.param("solve", {"alpha": "0.25"}, "field 'alpha' must be a number", id="alpha"),
+        pytest.param("solve", {"lambda": True}, "field 'lambda' must be a number", id="lambda"),
+        pytest.param("solve", {"h_max": "0.01"}, "field 'h_max' must be a number", id="h_max"),
+        pytest.param("solve", {"tol": False}, "field 'tol' must be a number", id="tol"),
+        pytest.param("solve", {"theta": [1.0]}, "field 'theta' must be a number", id="theta"),
+        pytest.param(
+            "solve", {"alpha": 10**400}, "field 'alpha' is out of the float range", id="huge"
+        ),
+        pytest.param("solve", {"max_iter": 2.7}, "'max_iter' must be an integer", id="max_iter"),
+        pytest.param(
+            "solve", {"max_iter": True}, "'max_iter' must be an integer", id="max_iter-bool"
+        ),
+        pytest.param(
+            "solve", {"max_iter": "200"}, "'max_iter' must be an integer", id="max_iter-str"
+        ),
+        pytest.param("solve", {"time_scale": ["01"]}, f"{PAIRS}; entry 0 is '01'", id="scale"),
+        pytest.param(
+            "solve", {"time_scale": [[0, 1, 5]]}, f"{PAIRS}; entry 0 is [0, 1, 5]", id="triple"
+        ),
+        pytest.param("solve", {"time_scale": "[[0, 1]]"}, PAIRS, id="scale-str"),
+        pytest.param(
+            "solve",
+            {"time_scale": [[0, 1], ["2", 3]]},
+            "an end of field 'time_scale' entry 1 must be a number",
+            id="scale-end",
+        ),
+        pytest.param(
+            "solve",
+            {"conductivity": {**AFFINE, "slope": "1"}},
+            "conductivity field 'slope' must be a number",
+            id="slope",
+        ),
+        pytest.param(
+            "solve",
+            {"conductivity": {"family": "constant", "c": True}},
+            "conductivity field 'c' must be a number",
+            id="c",
+        ),
+        pytest.param(
+            "solve",
+            {"conductivity": {**TABLE, "values": ["1", 2.0]}},
+            "an entry of conductivity field 'values' must be a number",
+            id="table-values",
+        ),
+        pytest.param(
+            "solve",
+            {"conductivity": {**TABLE, "breakpoints": "0,1"}},
+            "conductivity field 'breakpoints' must be an array of numbers",
+            id="table-breakpoints",
+        ),
+        pytest.param(
+            "solve",
+            {"conductivity": {"family": ["constant"], "c": 1.0}},
+            "unknown conductivity family ['constant']",
+            id="family",
+        ),
+        pytest.param(
+            "sweep",
+            {"sweep": {**SWEEP, "lambda_step": "0.02"}},
+            "field 'lambda_step' of 'sweep' must be a number",
+            id="sweep-step",
+        ),
+        pytest.param(
+            "sweep",
+            {"sweep": {**SWEEP, "lambda_min": False}},
+            "field 'lambda_min' of 'sweep' must be a number",
+            id="sweep-min",
+        ),
+    ],
+)
+def test_config_numbers_must_be_json_numbers(tmp_path, capsys, command, change, message):
+    # float() would take "0.25", true and "01"; int() would cut 2.7 to 2
+    cfg = write_config(tmp_path, {**AFFINE_PROBLEM, **change})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_integral_max_iter_is_read_as_an_integer():
+    spec = problem_from_json({**AFFINE_PROBLEM, "max_iter": 50.0})
+    assert spec.max_iter == 50 and isinstance(spec.max_iter, int)
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):
@@ -470,23 +567,84 @@ def test_verify_missing_directory(tmp_path, capsys):
 
 # -- real process entry points ---------------------------------------------
 
+# the console script's target, as pyproject.toml declares it
+SCRIPT = re.search(
+    r'^chronofrac = "([\w.]+):(\w+)"$', (ROOT / "pyproject.toml").read_text(), re.MULTILINE
+)
+# each way into a process, with an exit hook that only interpreter teardown runs
+ENTRIES = {
+    "module": "import runpy; runpy.run_module('chronofrac', run_name='__main__', alter_sys=True)",
+    "console script": f"import sys; from {SCRIPT[1]} import {SCRIPT[2]}; sys.exit({SCRIPT[2]}())",
+}
+# buffered standard streams, as a user's shell gives them to a file or pipe
+BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def _child(args, **kwargs):
+    return subprocess.run(
+        [sys.executable, "-m", "chronofrac", *args], text=True, env=BUFFERED, **kwargs
+    )
+
+
+def _check_solve_outputs(out, stdout):
+    assert "solve: converged in" in stdout
+    n = len(problem_from_json(CONSTANT_PROBLEM).grid)
+    assert len((out / "solution.csv").read_text().splitlines()) == n + 1
+    report = json.loads((out / "report.json").read_text())
+    trace = (out / "trace.csv").read_text()
+    assert trace.endswith("\n") and len(trace.splitlines()) == report["iterations"] + 1
+
 
 def test_module_entry_point(tmp_path):
+    # stdout to a file and to a pipe are both block-buffered: the summary
+    # line is there only if the process flushes before it ends
     cfg = write_config(tmp_path, CONSTANT_PROBLEM)
+    args = ["solve", "--config", cfg]
+    with open(tmp_path / "stdout.txt", "w") as fh:
+        proc = _child([*args, "--out", str(tmp_path / "file")], stdout=fh)
+    assert proc.returncode == 0
+    _check_solve_outputs(tmp_path / "file", (tmp_path / "stdout.txt").read_text())
+    proc = _child([*args, "--out", str(tmp_path / "pipe")], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    _check_solve_outputs(tmp_path / "pipe", proc.stdout)
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_entry_points_end_without_interpreter_teardown(tmp_path, entry):
+    cfg = write_config(tmp_path, CONSTANT_PROBLEM)
+    hook = "import atexit; atexit.register(print, 'interpreter teardown'); "
+    argv = ["chronofrac", "solve", "--config", cfg, "--out", str(tmp_path / "out")]
     proc = subprocess.run(
-        [sys.executable, "-m", "chronofrac", "solve", "--config", cfg, "--out", str(tmp_path / "out")],
+        [sys.executable, "-c", f"import sys; sys.argv = {argv!r}; {hook}{ENTRIES[entry]}"],
         capture_output=True,
         text=True,
+        env=BUFFERED,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "converged in" in proc.stdout
-    assert (tmp_path / "out" / "solution.csv").exists()
+    assert "interpreter teardown" not in proc.stdout
+    _check_solve_outputs(tmp_path / "out", proc.stdout)
+
+
+# exit code 0, and 0 for --help, are checked by the tests beside this one
+@pytest.mark.parametrize(
+    "change,code,message",
+    [
+        pytest.param({"alpha": 0.7}, 1, "error: alpha must lie", id="bad config"),
+        pytest.param(
+            {"lambda": 1.0, "max_iter": 3}, 3, "non-convergence is fatal", id="strict"
+        ),
+    ],
+)
+def test_exit_codes_come_through_the_entry_point(tmp_path, change, code, message):
+    cfg = write_config(tmp_path, {**AFFINE_PROBLEM, **change})
+    args = ["solve", "--config", cfg, "--out", str(tmp_path / "out"), "--strict"]
+    proc = _child(args, capture_output=True)
+    assert proc.returncode == code
+    assert message in proc.stderr
 
 
 def test_help_lists_subcommands():
-    proc = subprocess.run(
-        [sys.executable, "-m", "chronofrac", "--help"], capture_output=True, text=True
-    )
+    proc = _child(["--help"], capture_output=True)
     assert proc.returncode == 0
     for name in ("solve", "threshold", "sweep", "verify"):
         assert name in proc.stdout
