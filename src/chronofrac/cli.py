@@ -7,6 +7,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 from typing import NoReturn
@@ -125,7 +126,7 @@ def cmd_threshold(args) -> int:
     return EXIT_OK
 
 
-def _sweep_range(args, config: dict) -> list[float]:
+def _sweep_range(args, config: dict, spec: ProblemSpec) -> list[float]:
     section = config.get("sweep", {}) if isinstance(config, dict) else {}
     if not isinstance(section, dict):
         raise ConfigError("field 'sweep' must be an object")
@@ -158,13 +159,18 @@ def _sweep_range(args, config: dict) -> list[float]:
     if not span < MAX_SWEEP:
         raise ConfigError(f"sweep range must give at most {MAX_SWEEP} lambda values")
     count = int(math.floor(span + 1e-9)) + 1
-    return [lam_min + k * step for k in range(count)]
+    lams = [lam_min + k * step for k in range(count)]
+    try:  # the largest value meets every solve's checks, before any solve runs
+        replace(spec, lam=lams[-1])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return lams
 
 
 def cmd_sweep(args) -> int:
     config = _load_json(args.config)
     spec = _load_problem(config)
-    lams = _sweep_range(args, config)
+    lams = _sweep_range(args, config, spec)
     out = _out_dir(args)
 
     rows = ["lambda,iterations,residual,q,converged,sup_norm"]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .timescale import GridFunction, TimeScale
+from .timescale import GridFunction, TimeScale, json_number
 
 __all__ = [
     "closed_form_power_integral",
@@ -46,7 +46,7 @@ def closed_form_power_integral(alpha: float, beta: float, t: float) -> float:
 
 def _discrete_points(ts: TimeScale) -> list[float]:
     points = []
-    for lo, hi in ts.components:
+    for lo, hi in ts.components.tolist():
         if lo != hi:
             raise ValueError("brute force sums need a fully discrete time scale")
         points.append(lo)
@@ -146,7 +146,7 @@ def extension_gap(g: GridFunction) -> float:
             lhs += 0.5 * (vals[j] + vals[j + 1]) * width
 
     rhs = 0.0
-    for ci, (lo, hi) in enumerate(ts.components):
+    for ci, (lo, hi) in enumerate(ts.components.tolist()):
         if hi > lo:
             # the extension restricted to a component is the sampled
             # function itself, integrated exactly as a polyline
@@ -176,14 +176,18 @@ class OracleCase:
 
     @classmethod
     def from_json(cls, data: dict) -> OracleCase:
+        if not isinstance(data, dict):
+            raise ValueError(f"oracle case must be a JSON object, not {data!r}")
         for key in ("name", "inputs", "expected", "tolerance"):
             if key not in data:
                 raise ValueError(f"oracle case is missing field '{key}'")
+        if not isinstance(data["inputs"], dict):
+            raise ValueError("oracle case field 'inputs' must be an object")
         return cls(
             name=str(data["name"]),
             inputs=dict(data["inputs"]),
-            expected=float(data["expected"]),
-            tolerance=float(data["tolerance"]),
+            expected=json_number(data["expected"], "oracle case field 'expected'"),
+            tolerance=json_number(data["tolerance"], "oracle case field 'tolerance'"),
         )
 
 
@@ -192,4 +196,10 @@ def load_suite(path: str | Path) -> list[OracleCase]:
     data = json.loads(Path(path).read_text())
     if not isinstance(data, list):
         raise ValueError(f"{path}: oracle suite must be a JSON array of cases")
-    return [OracleCase.from_json(obj) for obj in data]
+    cases = []
+    for i, obj in enumerate(data):
+        try:
+            cases.append(OracleCase.from_json(obj))
+        except ValueError as exc:
+            raise ValueError(f"{path}: entry {i}: {exc}") from None
+    return cases

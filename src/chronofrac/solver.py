@@ -81,6 +81,11 @@ class ProblemSpec:
             object.__setattr__(self, "h_max", self.span / DEFAULT_CELLS)
         if not 0.0 < self.h_max < math.inf:
             raise ValueError("h_max must be positive and finite")
+        # the numerator lam I^(2 alpha) f(u) stays below this bound
+        c2, two_alpha = self.model.constants()[1], 2.0 * self.alpha
+        numerator = self.lam * c2 * self.span**two_alpha / gamma_fn(two_alpha + 1.0)
+        if not all(map(math.isfinite, (numerator, sup_bound(self), contraction_constant(self)))):
+            raise ValueError(f"lambda={self.lam!r} is so large that its bounds overflow")
 
     @property
     def span(self) -> float:

@@ -62,7 +62,7 @@ def _snap_index(lo: np.ndarray, hi: np.ndarray, t) -> np.ndarray:
     return (i + 1) * on - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeScale:
     """Finite union of disjoint closed intervals on the real line.
 
@@ -72,12 +72,11 @@ class TimeScale:
         Ordered ``(lo, hi)`` pairs with ``lo <= hi``; a pair with
         ``lo == hi`` is an isolated point.  Consecutive components must be
         separated by a positive gap, and the scale as a whole must span a
-        nondegenerate window.
+        nondegenerate window.  Kept as a read-only (k, 2) float array (a
+        copy of the input).  Scales compare by value and hash in O(1).
     """
 
-    components: tuple[tuple[float, float], ...]
-    # read-only (k, 2) array of the [lo, hi] components, checked once
-    _bounds: np.ndarray = field(init=False, repr=False, compare=False)
+    components: np.ndarray
 
     def __post_init__(self) -> None:
         if not len(self.components):
@@ -96,27 +95,30 @@ class TimeScale:
             raise ValueError("components must be disjoint and strictly sorted")
         if not lo[0] < hi[-1]:
             raise ValueError("time scale must span a nondegenerate window")
-        # the tuples of a discrete scale share one float per point
-        lows = lo.tolist()
-        highs = lows if np.array_equal(lo, hi) else hi.tolist()
-        object.__setattr__(self, "components", tuple(zip(lows, highs)))
-        object.__setattr__(self, "_bounds", bounds)
+        object.__setattr__(self, "components", bounds)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TimeScale) and np.array_equal(self.components, other.components)
+
+    def __hash__(self) -> int:
+        # O(1), reading the two ends alone, as Grid.__hash__ does
+        return hash((self.t0, self.T, len(self.components)))
 
     # -- basic geometry --------------------------------------------------
 
     @property
     def t0(self) -> float:
         """Left endpoint of the scale."""
-        return self.components[0][0]
+        return float(self.components[0, 0])
 
     @property
     def T(self) -> float:
         """Right endpoint of the scale."""
-        return self.components[-1][1]
+        return float(self.components[-1, 1])
 
     def _component_of(self, t) -> np.ndarray:
         # component index per point of t, snapping onto endpoints; -1 off the scale
-        return _snap_index(self._bounds[:, 0], self._bounds[:, 1], t)
+        return _snap_index(self.components[:, 0], self.components[:, 1], t)
 
     def _component_index(self, t: float) -> int:
         i = int(self._component_of(t))
@@ -140,21 +142,19 @@ class TimeScale:
         boundary of the scale.
         """
         i = self._component_index(t)
-        hi = self.components[i][1]
-        if t < hi - SNAP:
+        if t < self.components[i, 1] - SNAP:
             return t
         if i + 1 < len(self.components):
-            return self.components[i + 1][0]
+            return float(self.components[i + 1, 0])
         return self.T
 
     def rho(self, t: float) -> float:
         """Backward jump operator, with ``rho(t0) = t0`` at the left end."""
         i = self._component_index(t)
-        lo = self.components[i][0]
-        if t > lo + SNAP:
+        if t > self.components[i, 0] + SNAP:
             return t
         if i > 0:
-            return self.components[i - 1][1]
+            return float(self.components[i - 1, 1])
         return self.t0
 
     def graininess(self, t: float) -> float:
@@ -183,7 +183,7 @@ class TimeScale:
 
     def to_json(self) -> list[list[float]]:
         """Canonical JSON form: an array of ``[lo, hi]`` pairs."""
-        return [[lo, hi] for lo, hi in self.components]
+        return self.components.tolist()
 
     @classmethod
     def from_json(cls, data: Sequence[Sequence[float]]) -> TimeScale:
@@ -226,8 +226,7 @@ class Grid:
             raise ValueError("h_max must be positive")
         if nodes.ndim != 1 or len(nodes) < 2:
             raise ValueError("grid needs at least two nodes")
-        width = nodes[1:] - nodes[:-1]
-        if (width <= 0).any():
+        if (nodes[1:] <= nodes[:-1]).any():
             raise ValueError("grid nodes must be strictly increasing")
         ts = self.timescale
         if abs(nodes[0] - ts.t0) > SNAP or abs(nodes[-1] - ts.T) > SNAP:
@@ -235,12 +234,12 @@ class Grid:
         off = ts._component_of(nodes) < 0
         if off.any():
             raise ValueError(f"grid node {nodes[off][0].item()!r} lies outside the time scale")
-        if (_snap_index(nodes, nodes, ts._bounds) < 0).any():
+        if (_snap_index(nodes, nodes, ts.components) < 0).any():
             raise ValueError("every component endpoint must be a grid node")
         gap = ts._component_of(0.5 * (nodes[:-1] + nodes[1:])) < 0
         gap.setflags(write=False)
         object.__setattr__(self, "gap_after", gap)
-        if (~gap & (width > self.h_max * (1.0 + 1e-9) + SNAP)).any():
+        if (~gap & (np.diff(nodes) > self.h_max * (1.0 + 1e-9) + SNAP)).any():
             raise ValueError("cell wider than h_max inside an interval")
 
     def __eq__(self, other) -> bool:
@@ -299,7 +298,7 @@ def build_grid(ts: TimeScale, h_max: float) -> Grid:
     """
     if not h_max > 0:
         raise ValueError("h_max must be positive")
-    lo, hi = ts._bounds.T
+    lo, hi = ts.components.T
     cells = np.where(hi > lo, np.maximum(1.0, np.ceil((hi - lo) / h_max - SNAP)), 0.0)
     count = float(cells.sum()) + len(cells)
     if not count <= MAX_NODES:
@@ -313,6 +312,7 @@ def build_grid(ts: TimeScale, h_max: float) -> Grid:
     step = np.divide(hi - lo, cells, out=np.zeros_like(cells), where=cells > 0)
     nodes = (np.arange(len(comp)) - (ends - sizes + 1)[comp]) * step[comp] + lo[comp]
     nodes[ends] = hi
+    del cells, sizes, ends, comp, step  # Grid copies the nodes: free the rest first
     return Grid(ts, nodes, float(h_max))
 
 

@@ -524,6 +524,29 @@ def test_write_report_streams_its_files(tmp_path):
     assert (tmp_path / "trace.csv").read_text() == "k,d_k\n1,0.5\n2,1e-06\n3,1e-12\n"
 
 
+# the README's scale and conductivity; a lambda past about 2.3e306 there
+# overflows q(lambda), sup_bound or the numerator bound
+OVERFLOW_PROBLEM = {**AFFINE_PROBLEM, "time_scale": [[0.0, 1.0], [1.5, 1.5], [2.0, 2.5]]}
+
+
+@pytest.mark.parametrize(
+    "command,lam,flags",
+    [
+        ("solve", 1e308, []),
+        ("threshold", 1e308, []),
+        ("sweep", 0.05, ["--lambda-min", "0", "--lambda-max", "1e308", "--lambda-step", "1e306"]),
+    ],
+)
+def test_overflowing_lambda_fails_at_the_boundary(tmp_path, capsys, command, lam, flags):
+    cfg = write_config(tmp_path, {**OVERFLOW_PROBLEM, "lambda": lam})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: lambda=1e+308 ") and err.count("\n") == 1
+    # nothing is written, so no JSON file can hold Infinity
+    assert not out.exists()
+
+
 # -- verify ----------------------------------------------------------------
 
 
@@ -565,6 +588,27 @@ def test_verify_missing_directory(tmp_path, capsys):
     assert "does not exist" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entry,message",
+    [
+        pytest.param(5, "entry 1: oracle case must be a JSON object", id="case"),
+        pytest.param(
+            {"name": "a", "inputs": 5, "expected": 1.0, "tolerance": 1e-12},
+            "entry 1: oracle case field 'inputs' must be an object",
+            id="inputs",
+        ),
+    ],
+)
+def test_verify_rejects_a_malformed_suite(tmp_path, capsys, entry, message):
+    good = {"name": "g", "inputs": {"kind": "gamma", "params": {"x": 1.0}}}
+    good.update(expected=1.0, tolerance=1e-12)
+    (tmp_path / "cases").mkdir()
+    (tmp_path / "cases" / "suite.json").write_text(json.dumps([good, entry]))
+    assert main(["verify", "--cases", str(tmp_path / "cases")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"suite.json: {message}" in err
+
+
 # -- real process entry points ---------------------------------------------
 
 # the console script's target, as pyproject.toml declares it
@@ -576,13 +620,18 @@ ENTRIES = {
     "module": "import runpy; runpy.run_module('chronofrac', run_name='__main__', alter_sys=True)",
     "console script": f"import sys; from {SCRIPT[1]} import {SCRIPT[2]}; sys.exit({SCRIPT[2]}())",
 }
-# buffered standard streams, as a user's shell gives them to a file or pipe
-BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def _buffered() -> dict[str, str]:
+    # buffered standard streams, as a user's shell gives them to a file or
+    # pipe; read per call, so the sources that conftest puts on PYTHONPATH
+    # reach the child also from a checkout where the package is not installed
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 
 
 def _child(args, **kwargs):
     return subprocess.run(
-        [sys.executable, "-m", "chronofrac", *args], text=True, env=BUFFERED, **kwargs
+        [sys.executable, "-m", "chronofrac", *args], text=True, env=_buffered(), **kwargs
     )
 
 
@@ -618,7 +667,7 @@ def test_entry_points_end_without_interpreter_teardown(tmp_path, entry):
         [sys.executable, "-c", f"import sys; sys.argv = {argv!r}; {hook}{ENTRIES[entry]}"],
         capture_output=True,
         text=True,
-        env=BUFFERED,
+        env=_buffered(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "interpreter teardown" not in proc.stdout

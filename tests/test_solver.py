@@ -84,6 +84,20 @@ def test_problem_rejections(kw, msg):
         ProblemSpec(**base)
 
 
+def test_problem_rejects_a_lambda_whose_bounds_overflow():
+    # each bound overflows alone in one case: q(lambda) on the README scale,
+    # where 2e306 still passes; then, with q = 0, the sup bound under a small
+    # flat conductivity and the numerator bound under a large one
+    ts = TimeScale(((0.0, 1.0), (1.5, 1.5), (2.0, 2.5)))
+    affine = ClampedAffine(base=1.0, slope=1.0, lo=1.0, hi=2.0)
+    spec = ProblemSpec(ts, 0.25, 2e306, affine)
+    assert math.isfinite(contraction_constant(spec)) and math.isfinite(sup_bound(spec))
+    for lam, model in ((1e307, affine), (1e300, Constant(1e-10)), (5.25e307, Constant(2.0))):
+        with pytest.raises(ValueError) as caught:
+            ProblemSpec(ts, 0.25, lam, model)
+        assert str(caught.value) == f"lambda={lam!r} is so large that its bounds overflow"
+
+
 def test_problem_defaults():
     spec = canonical_spec(0.05)
     assert spec.span == 1.0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,16 +50,41 @@ def test_rejects_components_that_are_not_pairs():
             TimeScale(comps)
 
 
-def test_components_are_float_pairs_beside_their_bounds():
-    # any number type in, Python float tuples stored, and one read-only
-    # array of the same bounds that every check ran on
-    ts = TimeScale([[0, 1], (np.float32(1.5), 1.5), [2, 2.5]])
-    assert ts.components == ((0.0, 1.0), (1.5, 1.5), (2.0, 2.5))
-    assert all(type(v) is float for c in ts.components for v in c)
-    assert not ts._bounds.flags.writeable
-    assert np.array_equal(ts._bounds, np.array(ts.components))
-    assert ts == TimeScale(ts.components) and hash(ts) == hash(TimeScale(ts.components))
-    assert "_bounds" not in repr(ts)
+def test_components_are_one_read_only_float_array():
+    # any number type in, and one read-only (k, 2) float array stored: a
+    # copy of the caller's array, never a view of it
+    given = np.array([[0, 1], [1.5, 1.5], [2, 2.5]], dtype=np.float32)
+    ts = TimeScale(given)
+    given[0, 0] = -1.0
+    assert ts.components.dtype == np.float64 and ts.components.shape == (3, 2)
+    assert ts.components.tolist() == [[0.0, 1.0], [1.5, 1.5], [2.0, 2.5]]
+    assert not np.shares_memory(given, ts.components)
+    with pytest.raises(ValueError, match="read-only"):
+        ts.components[0, 0] = -1.0
+    assert TimeScale([[0, 1], (np.float32(1.5), 1.5), [2, 2.5]]) == ts
+    # the scalars it hands out are Python floats, which print plainly
+    assert [type(v) for v in (ts.t0, ts.T, ts.sigma(1.0), ts.rho(2.0))] == [float] * 4
+    assert all(type(v) is float for pair in ts.to_json() for v in pair)
+
+
+def test_equal_scales_compare_and_hash_alike_however_built():
+    pairs = [[0.0, 0.0], [1.0, 1.0], [2.0, 3.0]]
+    ts = TimeScale(pairs)
+    for other in (
+        TimeScale(tuple(map(tuple, pairs))),
+        TimeScale(np.array(pairs)),
+        TimeScale(np.array(pairs, dtype=np.float32)),
+        TimeScale.from_json(pairs),
+        TimeScale.from_json(ts.to_json()),
+    ):
+        assert other == ts and hash(other) == hash(ts)
+    points = TimeScale.from_points([3.0, 1.0, 2.0, 1.0])
+    assert points == TimeScale([[1, 1], [2, 2], [3, 3]]) == TimeScale.integers(1, 3)
+    assert hash(points) == hash(TimeScale.integers(1, 3))
+    # the hash reads the ends and the count alone; equality reads every bound
+    moved = TimeScale([[0.0, 0.0], [1.5, 1.5], [2.0, 3.0]])
+    assert moved != ts and hash(moved) == hash(ts)
+    assert ts != pairs and len({ts, TimeScale(pairs), moved}) == 2
 
 
 def test_endpoints():
@@ -69,7 +95,7 @@ def test_endpoints():
 
 def test_from_points_sorts_and_dedupes():
     ts = TimeScale.from_points([3.0, 1.0, 2.0, 1.0])
-    assert ts.components == ((1.0, 1.0), (2.0, 2.0), (3.0, 3.0))
+    assert ts.components.tolist() == [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]
     assert TimeScale.from_points(p for p in (3, 1, 2, 1)) == ts
     with pytest.raises(ValueError, match="finite"):
         TimeScale.from_points([0.0, 1.0, math.nan])
@@ -280,6 +306,40 @@ def test_gap_after_marks_component_changes():
             for t in grid.nodes.tolist()
         ]
         assert grid.gap_after.tolist() == [a != b for a, b in zip(comp, comp[1:])]
+
+
+@pytest.mark.parametrize("left", [(0.0, 1.0), (1.0, 1.0)], ids=["interval", "point"])
+@pytest.mark.parametrize("right_end", [2.0, None], ids=["interval", "point"])
+def test_gap_after_pins_gaps_near_twice_snap(left, right_end):
+    # the midpoint of a cell across a gap of at most 2 SNAP lies within SNAP
+    # of a component, so the cell reads as continuous; past that it is a
+    # jump.  A component index per node would mark [0.75, 1] as a jump on
+    # the smallest gaps, where the node 1.0 snaps into the right component.
+    last = 4 if left[0] < left[1] else 0  # the cell from the node 1.0
+    for gap, jumps in (
+        (1e-14, []), (1e-13, []), (5e-13, []), (1e-12, []),
+        (1.5e-12, []), (2e-12, []), (2.5e-12, [last]), (3e-12, [last]),
+    ):
+        start = 1.0 + gap
+        grid = build_grid(TimeScale((left, (start, right_end or start))), 0.25)
+        assert np.flatnonzero(grid.gap_after).tolist() == jumps, gap
+
+
+def test_a_million_scattered_points_and_their_grid_stay_small():
+    # one (k, 2) array for the scale, and a grid build that frees its layout
+    # arrays before the grid copies the nodes: 1.2e6 points hold 29.7 MiB
+    # and peak at 92.6 MiB, where tuples beside the array held 130.2 and
+    # peaked at 235.5
+    points = np.cumsum(np.random.default_rng(7).uniform(0.2, 1.5, 1_200_000))
+    tracemalloc.start()
+    try:
+        grid = build_grid(TimeScale.from_points(points), 1.0)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(grid) == 1_200_000 and grid.gap_after.all()
+    assert held <= 32 * 2**20
+    assert peak <= 150 * 2**20
 
 
 def test_grid_rejects_missing_endpoint():
