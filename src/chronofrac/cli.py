@@ -20,16 +20,7 @@ from .oracles import (
     extension_gap,
     load_suite,
 )
-from .solver import (
-    ProblemSpec,
-    apply_K,
-    contraction_terms,
-    picard_solve,
-    problem_from_json,
-    sup_bound,
-    threshold_from_constants,
-    uniqueness_threshold,
-)
+from .solver import Bounds, ProblemSpec, apply_K, picard_solve, problem_from_json
 from .conductivity import ClampedAffine, model_from_json
 from .timescale import GridFunction, GridTooLarge, TimeScale, build_grid, json_number
 
@@ -112,17 +103,15 @@ def cmd_solve(args) -> int:
 def cmd_threshold(args) -> int:
     spec = _load_problem(_load_json(args.config))
     out = _out_dir(args)
-    c1, c2, lip = spec.model.constants()
-    t1, t2 = contraction_terms(spec.alpha, spec.span, c1, c2, lip, spec.lam)
-    lam_star = uniqueness_threshold(spec)
+    b = spec.bounds
     data = {
-        "lambda_star": lam_star if math.isfinite(lam_star) else "inf",
-        "q_at_lambda": t1 + t2,
-        "terms": {"term1": t1, "term2": t2},
+        "lambda_star": b.lambda_star if math.isfinite(b.lambda_star) else "inf",
+        "q_at_lambda": b.q,
+        "terms": {"term1": b.terms[0], "term2": b.terms[1]},
     }
     (out / "threshold.json").write_text(json.dumps(data, indent=2) + "\n")
-    shown = "inf" if not math.isfinite(lam_star) else f"{lam_star:.12g}"
-    print(f"threshold: lambda_star {shown}, q at lambda {t1 + t2:.12g}")
+    shown = "inf" if not math.isfinite(b.lambda_star) else f"{b.lambda_star:.12g}"
+    print(f"threshold: lambda_star {shown}, q at lambda {b.q:.12g}")
     return EXIT_OK
 
 
@@ -223,7 +212,7 @@ def _sup_bound(params) -> float:
             base=float(params["c1"]), slope=1.0, lo=float(params["c1"]), hi=float(params["c2"])
         ),
     )
-    return sup_bound(spec)
+    return spec.bounds.sup
 
 
 def _constant_solution(params) -> float:
@@ -251,9 +240,9 @@ _CASE_KINDS = {
     "power_integral": _power_integral,
     "discrete_integral": _discrete_integral,
     "apply_k": _apply_k,
-    "threshold": lambda params: threshold_from_constants(
+    "threshold": lambda params: Bounds.of(
         *(float(params[k]) for k in ("alpha", "T", "c1", "c2", "lipschitz"))
-    ),
+    ).lambda_star,
     "sup_bound": _sup_bound,
     "constant_solution": _constant_solution,
     "power_closed_form": lambda params: closed_form_power_integral(
@@ -278,7 +267,7 @@ def _run_cases(cases: list[OracleCase]) -> tuple[list[str], int]:
     for case in cases:
         try:
             observed = _case_observed(case)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
             failures += 1
             lines.append(f"FAIL {case.name}: could not evaluate ({exc})")
             continue

@@ -29,16 +29,12 @@ from .timescale import Grid, GridFunction, TimeScale, build_grid, json_number
 
 __all__ = [
     "ProblemSpec",
+    "Bounds",
     "SolveReport",
     "DiagnosticCheck",
     "ExistenceDiagnostics",
-    "contraction_terms",
-    "threshold_from_constants",
     "denominator",
     "apply_K",
-    "contraction_constant",
-    "uniqueness_threshold",
-    "sup_bound",
     "equicontinuity_modulus",
     "picard_solve",
     "existence_diagnostics",
@@ -65,6 +61,7 @@ class ProblemSpec:
     tol: float = 1e-10
     max_iter: int = 200
     theta: float = 1.0
+    bounds: Bounds = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 0.5:
@@ -81,11 +78,10 @@ class ProblemSpec:
             object.__setattr__(self, "h_max", self.span / DEFAULT_CELLS)
         if not 0.0 < self.h_max < math.inf:
             raise ValueError("h_max must be positive and finite")
-        # the numerator lam I^(2 alpha) f(u) stays below this bound
-        c2, two_alpha = self.model.constants()[1], 2.0 * self.alpha
-        numerator = self.lam * c2 * self.span**two_alpha / gamma_fn(two_alpha + 1.0)
-        if not all(map(math.isfinite, (numerator, sup_bound(self), contraction_constant(self)))):
+        bounds = Bounds.of(self.alpha, self.span, *self.model.constants(), self.lam)
+        if not all(map(math.isfinite, (bounds.q, bounds.sup, bounds.modulus, bounds.numerator))):
             raise ValueError(f"lambda={self.lam!r} is so large that its bounds overflow")
+        object.__setattr__(self, "bounds", bounds)
 
     @property
     def span(self) -> float:
@@ -149,63 +145,59 @@ def problem_from_json(data: dict) -> ProblemSpec:
 # -- explicit constants ----------------------------------------------------
 
 
-def contraction_terms(
-    alpha: float,
-    span: float,
-    c1: float,
-    c2: float,
-    lipschitz: float,
-    lam: float = 1.0,
-) -> tuple[float, float]:
-    """The two summands of the Lipschitz bound on the solution operator.
+@dataclass(frozen=True)
+class Bounds:
+    """The explicit constants of one problem, each evaluated once.
 
-    The first comes from perturbing the numerator, the second from
-    perturbing the squared denominator; both are linear in ``lam``.
+    ``terms`` are the two summands of ``q`` at ``lam``, from perturbing the
+    numerator and the squared denominator.  ``lambda_star`` is ``1 / q`` at
+    ``lam = 1`` (``inf`` for a flat conductivity).  ``sup`` bounds ``K(u)``
+    for every ``u``, ``modulus * (t2 - t1)**(2 alpha)`` is the
+    equicontinuity modulus, and ``numerator`` bounds ``lam I^(2 alpha) f(u)``.
     """
-    g = gamma_fn(2.0 * alpha + 1.0)
-    t1 = lam * span ** (2.0 * alpha) * lipschitz / ((c1 * span) ** 2 * g)
-    t2 = (
-        2.0
-        * lam
-        * c2**2
-        * span ** (2.0 * (alpha + 1.0))
-        * lipschitz
-        / ((c1 * span) ** 4 * g)
-    )
-    return (t1, t2)
 
+    terms: tuple[float, float]
+    lambda_star: float
+    sup: float
+    modulus: float
+    numerator: float
 
-def threshold_from_constants(
-    alpha: float, span: float, c1: float, c2: float, lipschitz: float
-) -> float:
-    """Largest source multiplier with a contractive solution operator.
+    @property
+    def q(self) -> float:
+        """Lipschitz constant of the solution operator."""
+        return self.terms[0] + self.terms[1]
 
-    Infinite when the conductivity is flat (zero Lipschitz constant): the
-    operator is then independent of ``u`` and any multiplier is fine.
-    """
-    slope = sum(contraction_terms(alpha, span, c1, c2, lipschitz, lam=1.0))
-    if slope == 0.0:
-        return math.inf
-    return 1.0 / slope
+    @classmethod
+    def of(
+        cls, alpha: float, span: float, c1: float, c2: float, lipschitz: float, lam: float = 1.0
+    ) -> Bounds:
+        """The constants for window length ``span`` and conductivity constants
+        ``(c1, c2, lipschitz)``; ``ValueError`` if any overflows at ``lam = 1``."""
+        try:
+            g = gamma_fn(2.0 * alpha + 1.0)
 
+            def at(lam: float) -> tuple[float, ...]:  # terms, sup, modulus, numerator
+                return (
+                    lam * span ** (2.0 * alpha) * lipschitz / ((c1 * span) ** 2 * g),
+                    2.0 * lam * c2**2 * span ** (2.0 * (alpha + 1.0)) * lipschitz
+                    / ((c1 * span) ** 4 * g),
+                    lam * c2 * span ** (2.0 * alpha) / ((c1 * span) ** 2 * g),
+                    lam * c2 / ((c1 * span) ** 2 * g),
+                    lam * c2 * span ** (2.0 * alpha) / g,
+                )
 
-def contraction_constant(spec: ProblemSpec) -> float:
-    """Lipschitz constant of the solution operator at the problem's lambda."""
-    c1, c2, lip = spec.model.constants()
-    return sum(contraction_terms(spec.alpha, spec.span, c1, c2, lip, spec.lam))
-
-
-def uniqueness_threshold(spec: ProblemSpec) -> float:
-    """The multiplier below which the fixed point is provably unique."""
-    c1, c2, lip = spec.model.constants()
-    return threshold_from_constants(spec.alpha, spec.span, c1, c2, lip)
-
-
-def sup_bound(spec: ProblemSpec) -> float:
-    """A priori sup-norm bound on ``K(u)``, uniform over profiles ``u``."""
-    c1, c2, _ = spec.model.constants()
-    g = gamma_fn(2.0 * spec.alpha + 1.0)
-    return spec.lam * c2 * spec.span ** (2.0 * spec.alpha) / ((c1 * spec.span) ** 2 * g)
+            unit = at(1.0)
+            slope = unit[0] + unit[1]
+            if all(map(math.isfinite, (slope, *unit))):
+                t1, t2, sup, modulus, numerator = at(lam)
+                lam_star = math.inf if slope == 0.0 else 1.0 / slope
+                return cls((t1, t2), lam_star, sup, modulus, numerator)
+        except (OverflowError, ZeroDivisionError):  # only lam-free factors raise
+            pass
+        raise ValueError(
+            f"a window span of {span!r} with (c1, c2, L) = ({c1!r}, {c2!r}, "
+            f"{lipschitz!r}) takes the bounds out of the float range"
+        )
 
 
 def equicontinuity_modulus(spec: ProblemSpec, t1: float, t2: float) -> float:
@@ -224,12 +216,7 @@ def equicontinuity_modulus(spec: ProblemSpec, t1: float, t2: float) -> float:
         raise ValueError("pair must satisfy t1 <= t2")
     if t1 < ts.t0 - 1e-12 or t2 > ts.T + 1e-12:
         raise ValueError("pair must lie inside the time scale window")
-    return _modulus_scale(spec) * (t2 - t1) ** (2.0 * spec.alpha)
-
-
-def _modulus_scale(spec: ProblemSpec) -> float:
-    c1, c2, _ = spec.model.constants()
-    return spec.lam * c2 / ((c1 * spec.span) ** 2 * gamma_fn(2.0 * spec.alpha + 1.0))
+    return spec.bounds.modulus * (t2 - t1) ** (2.0 * spec.alpha)
 
 
 # -- the operator ----------------------------------------------------------
@@ -348,10 +335,9 @@ def picard_solve(spec: ProblemSpec, u0: GridFunction | None = None) -> SolveRepo
             converged = True
             break
     residual = float(np.max(np.abs(_apply_k_array(spec, u) - u)))
-    q = contraction_constant(spec)
+    q, sup = spec.bounds.q, spec.bounds.sup
     q_theta, gap = _damped_contraction(theta, q)
     operator = frac_integral_operator(grid, 2.0 * spec.alpha).to_json()
-    sup = sup_bound(spec)
     apriori = (q_theta * trace[-1] + operator["eps"] * sup) / gap if q < 1.0 else None
     return SolveReport(
         solution=GridFunction(grid, u),
@@ -359,7 +345,7 @@ def picard_solve(spec: ProblemSpec, u0: GridFunction | None = None) -> SolveRepo
         converged=converged,
         trace=tuple(trace),
         q=q,
-        lambda_star=uniqueness_threshold(spec),
+        lambda_star=spec.bounds.lambda_star,
         residual=residual,
         apriori_bound=apriori,
         sup_bound=sup,
@@ -435,7 +421,7 @@ def existence_diagnostics(spec: ProblemSpec, report: SolveReport) -> ExistenceDi
         name="sup_norm", passed=obs_sup <= bnd_sup, observed=obs_sup, bound=bnd_sup
     )
 
-    scale, power = _modulus_scale(spec), 2.0 * spec.alpha
+    scale, power = spec.bounds.modulus, 2.0 * spec.alpha
     slack = 2.0 * report.residual + eps
     # pairs with t0 join the adjacent ones because K(u)(t0) = 0 and K(u)
     # grows like the modulus itself; each family is one in-place pass over

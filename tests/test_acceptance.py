@@ -15,6 +15,7 @@ import numpy as np
 
 from chronofrac import (
     BoundedRational,
+    Bounds,
     ClampedAffine,
     Constant,
     GridFunction,
@@ -23,14 +24,11 @@ from chronofrac import (
     TimeScale,
     apply_K,
     build_grid,
-    contraction_constant,
     existence_diagnostics,
     frac_derivative_all,
     frac_integral,
     frac_integral_all,
     picard_solve,
-    threshold_from_constants,
-    uniqueness_threshold,
     verify_composition,
 )
 from chronofrac.oracles import (
@@ -73,7 +71,7 @@ def _constant_f_run():
 
 @lru_cache(maxsize=None)
 def _half_threshold_run():
-    lam = 0.5 * uniqueness_threshold(_affine_spec(1.0))
+    lam = 0.5 * _affine_spec(1.0).bounds.lambda_star
     spec = _affine_spec(lam, h_max=1.0 / 128)
     return spec, picard_solve(spec)
 
@@ -191,10 +189,10 @@ def test_criterion_04_constant_conductivity_fixed_point():
 
 def test_criterion_05_uniqueness_threshold():
     spec = _affine_spec(1.0)
-    lam_star = uniqueness_threshold(spec)
+    lam_star = spec.bounds.lambda_star
     hand = math.gamma(1.5) / 9.0  # written out independently of the library
     gap = abs(lam_star - hand)
-    q_at_star = contraction_constant(_affine_spec(lam_star))
+    q_at_star = _affine_spec(lam_star).bounds.q
     ok = gap <= 1e-12 and abs(q_at_star - 1.0) <= 1e-12
     _line(
         5,
@@ -206,7 +204,7 @@ def test_criterion_05_uniqueness_threshold():
 
 def test_criterion_06_empirical_contraction():
     spec, report = _half_threshold_run()
-    q = contraction_constant(spec)
+    q = spec.bounds.q
     rng = np.random.default_rng(6)
     n = len(spec.grid.nodes)
     worst = -math.inf
@@ -280,7 +278,7 @@ def _random_problem(k: int, rng: np.random.Generator) -> ProblemSpec:
     if lip == 0.0:
         lam = float(rng.uniform(0.5, 2.0))
     else:
-        lam_star = threshold_from_constants(alpha, span, c1_, c2_, lip)
+        lam_star = Bounds.of(alpha, span, c1_, c2_, lip).lambda_star
         lam = float(rng.uniform(0.2, 0.7)) * lam_star
     return ProblemSpec(
         timescale=ts, alpha=alpha, lam=lam, model=model, h_max=span / 128

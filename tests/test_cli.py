@@ -525,24 +525,56 @@ def test_write_report_streams_its_files(tmp_path):
 
 
 # the README's scale and conductivity; a lambda past about 2.3e306 there
-# overflows q(lambda), sup_bound or the numerator bound
+# overflows q(lambda), the sup bound or the numerator bound
 OVERFLOW_PROBLEM = {**AFFINE_PROBLEM, "time_scale": [[0.0, 1.0], [1.5, 1.5], [2.0, 2.5]]}
+SWEEP_TO_1E308 = ["--lambda-min", "0", "--lambda-max", "1e308", "--lambda-step", "1e306"]
+
+# windows and conductivities that take the bounds out of the float range
+# already at lambda = 1: a power overflows, or one underflows to a zero divisor
+OUT_OF_RANGE = {
+    "window-1e80": {"time_scale": [[0.0, 1e80]]},
+    "window-1e-100": {"time_scale": [[0.0, 1e-100]]},
+    "window-near-max": {"time_scale": [[1e300, 1.5e300]]},
+    "constant-1e-200": {"conductivity": {"family": "constant", "c": 1e-200}},
+    "table-1e-170": {
+        "conductivity": {"family": "table", "breakpoints": [0.0, 1.0], "values": [1e-170, 1.0]}
+    },
+    "rational-c2-1e300": {
+        "conductivity": {"family": "bounded_rational", "c1": 1.0, "c2": 1e300, "scale": 1.0}
+    },
+}
 
 
 @pytest.mark.parametrize(
-    "command,lam,flags",
+    "command,change,flags,message",
     [
-        ("solve", 1e308, []),
-        ("threshold", 1e308, []),
-        ("sweep", 0.05, ["--lambda-min", "0", "--lambda-max", "1e308", "--lambda-step", "1e306"]),
+        # the ids pytest gave these three when lambda was the only parameter
+        pytest.param("solve", {"lambda": 1e308}, [], "lambda=1e+308 ", id="solve-1e+308-flags0"),
+        pytest.param(
+            "threshold", {"lambda": 1e308}, [], "lambda=1e+308 ", id="threshold-1e+308-flags1"
+        ),
+        pytest.param("sweep", {}, SWEEP_TO_1E308, "lambda=1e+308 ", id="sweep-0.05-flags2"),
+        *(
+            pytest.param(
+                command,
+                change,
+                SWEEP_FLAGS if command == "sweep" else [],
+                "a window span of ",
+                id=f"{command}-{name}",
+            )
+            for name, change in OUT_OF_RANGE.items()
+            for command in ("solve", "threshold", "sweep")
+        ),
     ],
 )
-def test_overflowing_lambda_fails_at_the_boundary(tmp_path, capsys, command, lam, flags):
-    cfg = write_config(tmp_path, {**OVERFLOW_PROBLEM, "lambda": lam})
+def test_overflowing_lambda_fails_at_the_boundary(
+    tmp_path, capsys, command, change, flags, message
+):
+    cfg = write_config(tmp_path, {**OVERFLOW_PROBLEM, **change})
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out), *flags]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: lambda=1e+308 ") and err.count("\n") == 1
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
     # nothing is written, so no JSON file can hold Infinity
     assert not out.exists()
 
@@ -575,6 +607,22 @@ def test_verify_catches_a_regression(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL deliberately_wrong_gamma" in out
     assert "1 failures" in out
+
+
+def test_verify_reports_a_case_that_overflows(tmp_path, capsys):
+    # math.gamma(200) raises OverflowError; the case fails, the run goes on
+    cases = [
+        {"name": "huge_gamma", "inputs": {"kind": "gamma", "params": {"x": 200}}},
+        {"name": "unit_gamma", "inputs": {"kind": "gamma", "params": {"x": 1.0}}},
+    ]
+    for case in cases:
+        case.update(expected=1.0, tolerance=1e-12)
+    (tmp_path / "cases").mkdir()
+    (tmp_path / "cases" / "suite.json").write_text(json.dumps(cases))
+    assert main(["verify", "--cases", str(tmp_path / "cases")]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL huge_gamma: could not evaluate (math range error)" in out
+    assert "ok   unit_gamma" in out and "1 failures" in out
 
 
 def test_verify_empty_directory(tmp_path, capsys):

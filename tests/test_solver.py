@@ -7,9 +7,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronofrac import (
     BoundedRational,
+    Bounds,
     ClampedAffine,
     Constant,
     GridFunction,
@@ -17,17 +20,12 @@ from chronofrac import (
     TimeScale,
     apply_K,
     build_grid,
-    contraction_constant,
-    contraction_terms,
     denominator,
     equicontinuity_modulus,
     existence_diagnostics,
     frac_integral_operator,
     picard_solve,
     problem_from_json,
-    sup_bound,
-    threshold_from_constants,
-    uniqueness_threshold,
 )
 from chronofrac.cli import _write_report
 from chronofrac.fractional import ROW_BLOCK, _weights
@@ -91,7 +89,7 @@ def test_problem_rejects_a_lambda_whose_bounds_overflow():
     ts = TimeScale(((0.0, 1.0), (1.5, 1.5), (2.0, 2.5)))
     affine = ClampedAffine(base=1.0, slope=1.0, lo=1.0, hi=2.0)
     spec = ProblemSpec(ts, 0.25, 2e306, affine)
-    assert math.isfinite(contraction_constant(spec)) and math.isfinite(sup_bound(spec))
+    assert math.isfinite(spec.bounds.q) and math.isfinite(spec.bounds.sup)
     for lam, model in ((1e307, affine), (1e300, Constant(1e-10)), (5.25e307, Constant(2.0))):
         with pytest.raises(ValueError) as caught:
             ProblemSpec(ts, 0.25, lam, model)
@@ -134,25 +132,25 @@ def test_problem_from_json_errors():
 
 
 def test_contraction_terms_on_unit_window():
-    t1, t2 = contraction_terms(0.25, 1.0, 1.0, 2.0, 1.0, lam=1.0)
+    t1, t2 = Bounds.of(0.25, 1.0, 1.0, 2.0, 1.0, lam=1.0).terms
     assert abs(t1 - 1.0 / GAMMA_3_2) <= 1e-15
     assert abs(t2 - 8.0 / GAMMA_3_2) <= 1e-14
     # both summands scale linearly with the multiplier
-    s1, s2 = contraction_terms(0.25, 1.0, 1.0, 2.0, 1.0, lam=0.3)
+    s1, s2 = Bounds.of(0.25, 1.0, 1.0, 2.0, 1.0, lam=0.3).terms
     assert abs(s1 - 0.3 * t1) <= 1e-15
     assert abs(s2 - 0.3 * t2) <= 1e-15
 
 
 def test_contraction_constant_and_threshold():
     spec = canonical_spec(1.0)
-    q = contraction_constant(spec)
+    q = spec.bounds.q
     assert abs(q - 9.0 / GAMMA_3_2) <= 1e-13
     assert abs(q - 10.155412503859614) <= 1e-12
-    lam_star = uniqueness_threshold(spec)
+    lam_star = spec.bounds.lambda_star
     assert abs(lam_star - GAMMA_3_2 / 9.0) <= 1e-15
     assert abs(lam_star - 0.09846965838363977) <= 1e-15
     # at the threshold itself the constant sits at one
-    assert abs(contraction_constant(canonical_spec(lam_star)) - 1.0) <= 1e-12
+    assert abs(canonical_spec(lam_star).bounds.q - 1.0) <= 1e-12
 
 
 def test_threshold_infinite_for_flat_conductivity():
@@ -162,20 +160,87 @@ def test_threshold_infinite_for_flat_conductivity():
         lam=3.0,
         model=Constant(2.0),
     )
-    assert uniqueness_threshold(spec) == math.inf
-    assert contraction_constant(spec) == 0.0
+    assert spec.bounds.lambda_star == math.inf
+    assert spec.bounds.q == 0.0
 
 
 def test_threshold_on_wider_window():
-    got = threshold_from_constants(0.4, 2.0, 1.0, 1.0, 1.0)
+    got = Bounds.of(0.4, 2.0, 1.0, 1.0, 1.0).lambda_star
     hand = math.gamma(1.8) / (2.0**0.8 / 4.0 + 2.0**2.8 / 8.0)
     assert abs(got - hand) <= 1e-15
     assert abs(got - 0.7132526703972935) <= 1e-15
 
 
 def test_sup_bound_value():
-    assert abs(sup_bound(canonical_spec(0.05)) - 0.11283791670955126) <= 1e-15
-    assert abs(sup_bound(canonical_spec(0.05)) - 0.1 / GAMMA_3_2) <= 1e-15
+    assert abs(canonical_spec(0.05).bounds.sup - 0.11283791670955126) <= 1e-15
+    assert abs(canonical_spec(0.05).bounds.sup - 0.1 / GAMMA_3_2) <= 1e-15
+
+
+def test_bounds_follow_lambda_and_stay_out_of_equality():
+    spec = canonical_spec(1.0)
+    assert spec.bounds == Bounds.of(0.25, 1.0, 1.0, 2.0, 1.0)
+    for other in (replace(spec, lam=0.3), spec.at_lambda(0.3)):
+        assert other.bounds == Bounds.of(0.25, 1.0, 1.0, 2.0, 1.0, lam=0.3)
+        assert other.bounds.lambda_star == spec.bounds.lambda_star
+    # derived from the fields, so it takes no part in equality or hashing
+    assert canonical_spec(1.0) == spec and hash(canonical_spec(1.0)) == hash(spec)
+    with pytest.raises(TypeError):
+        ProblemSpec(spec.timescale, 0.25, 1.0, spec.model, bounds=spec.bounds)
+
+
+@pytest.mark.parametrize(
+    "span,model",
+    [
+        (1e80, ClampedAffine(base=1.0, slope=1.0, lo=1.0, hi=2.0)),  # (c1 span)**4 overflows
+        (1e-100, ClampedAffine(base=1.0, slope=1.0, lo=1.0, hi=2.0)),  # ... underflows to 0
+        (1.0, Constant(1e-200)),
+        (1.0, BoundedRational(c1=1.0, c2=1e300, scale=1.0)),  # c2**2 overflows
+        (1.0, ClampedAffine(base=1.0, slope=1e308, lo=1.0, hi=2.0)),  # q = inf, nothing raised
+        # the sup bound alone overflows, while q stays finite
+        (1.0, ClampedAffine(base=1e-80, slope=1e-320, lo=1e-80, hi=1e150)),
+    ],
+)
+def test_bounds_refuse_a_window_or_conductivity_out_of_range(span, model):
+    c1, c2, lip = model.constants()
+    message = (
+        f"a window span of {span!r} with (c1, c2, L) = ({c1!r}, {c2!r}, {lip!r}) "
+        "takes the bounds out of the float range"
+    )
+    for lam in (1.0, 1e-300):
+        with pytest.raises(ValueError) as caught:
+            Bounds.of(0.25, span, c1, c2, lip, lam)
+        assert str(caught.value) == message
+    with pytest.raises(ValueError) as caught:
+        ProblemSpec(TimeScale.interval(0.0, span), 0.25, 0.05, model)
+    assert str(caught.value) == message
+
+
+# log-uniform over the positive floats, subnormals included
+POSITIVE = st.floats(-323.0, 308.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    alpha=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+    span=POSITIVE,
+    bounds=st.lists(POSITIVE, min_size=2, max_size=2).map(sorted),
+    lip=POSITIVE,
+    lam=POSITIVE,
+)
+def test_bounds_are_finite_or_refused(alpha, span, bounds, lip, lam):
+    c1, c2 = bounds
+    try:
+        Bounds.of(alpha, span, c1, c2, lip, lam)
+    except ValueError:
+        pass
+    ts = TimeScale.interval(0.0, span)
+    model = ClampedAffine(base=c1, slope=lip, lo=c1, hi=c2)
+    try:
+        spec = ProblemSpec(ts, alpha, lam, model)
+    except ValueError:
+        return
+    b = spec.bounds
+    assert all(map(math.isfinite, (b.q, b.sup, b.modulus, b.numerator)))
 
 
 def test_equicontinuity_modulus_values_and_errors():
@@ -284,7 +349,7 @@ def test_picard_constant_conductivity_two_steps():
 
 
 def test_picard_trace_contracts_at_rate_q():
-    lam = 0.5 * uniqueness_threshold(canonical_spec(1.0))
+    lam = 0.5 * canonical_spec(1.0).bounds.lambda_star
     spec = canonical_spec(lam, h_max=1.0 / 128)
     report = picard_solve(spec)
     assert report.converged
@@ -330,11 +395,11 @@ def test_damped_picard_certificates_hold(theta):
             theta=theta,
             max_iter=2000,
         )
-        spec = replace(base, lam=0.5 * uniqueness_threshold(base))
+        spec = replace(base, lam=0.5 * base.bounds.lambda_star)
         report = picard_solve(spec)
         reference = picard_solve(replace(spec, theta=1.0, tol=1e-15))
         assert report.converged and reference.converged
-        assert report.q == contraction_constant(spec)
+        assert report.q == spec.bounds.q
         err = float(np.max(np.abs(report.solution.values - reference.solution.values)))
         assert err <= report.apriori_bound + reference.apriori_bound
         checks = {c.name: c for c in existence_diagnostics(spec, report).checks}
@@ -417,7 +482,7 @@ def test_residual_check_fails_past_the_threshold():
         model=ClampedAffine(base=1.0, slope=1.0, lo=1.0, hi=2.0),
         h_max=0.01,
     )
-    spec = base.at_lambda(2.0 * uniqueness_threshold(base))
+    spec = base.at_lambda(2.0 * base.bounds.lambda_star)
     report = picard_solve(spec)
     assert report.converged and report.q == pytest.approx(2.0)
     diag = existence_diagnostics(spec, report)
@@ -454,7 +519,7 @@ def test_vectorised_equicontinuity_matches_pair_loop():
             model=BoundedRational(1.0, float(rng.uniform(1.5, 3.0)), 0.5),
             h_max=float(rng.uniform(0.01, 0.2)),
         )
-        spec = spec.at_lambda(float(rng.uniform(0.1, 0.9)) * uniqueness_threshold(spec))
+        spec = spec.at_lambda(float(rng.uniform(0.1, 0.9)) * spec.bounds.lambda_star)
         report = picard_solve(spec)
         # also a ramp from t0 that the modulus bounds over every short step
         # but not over the whole window, so the pairs with t0 decide
@@ -479,7 +544,7 @@ def test_diagnostics_hold_a_few_arrays_per_node():
         model=BoundedRational(1.0, 2.0, 0.5),
         h_max=5e-6,
     )
-    spec = spec.at_lambda(0.5 * uniqueness_threshold(spec))
+    spec = spec.at_lambda(0.5 * spec.bounds.lambda_star)
     report = picard_solve(spec)
     n = len(spec.grid.nodes)
     assert n == 200_001
@@ -567,7 +632,7 @@ def test_equicontinuity_modulus_bounds_every_node_pair():
         np.testing.assert_allclose(lib, mod[picks], rtol=1e-14)
         slack = 1e-12 * (1.0 + np.max(np.abs(ku)))
         assert np.all(np.abs(ku[j] - ku[i]) <= mod + slack)
-        spec = spec.at_lambda(0.5 * uniqueness_threshold(spec))
+        spec = spec.at_lambda(0.5 * spec.bounds.lambda_star)
         assert existence_diagnostics(spec, picard_solve(spec)).passed
 
 
