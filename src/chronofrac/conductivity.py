@@ -164,7 +164,9 @@ class Table(ConductivityModel):
             raise ValueError("table values must be positive")
 
     def constants(self) -> tuple[float, float, float]:
-        slopes = np.abs(np.diff(self.values) / np.diff(self.breakpoints))
+        # a slope past the float range is L = inf, which Bounds.of refuses
+        with np.errstate(over="ignore"):
+            slopes = np.abs(np.diff(self.values) / np.diff(self.breakpoints))
         return (min(self.values), max(self.values), float(slopes.max(initial=0.0)))
 
     def _eval(self, u: np.ndarray) -> np.ndarray:

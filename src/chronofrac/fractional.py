@@ -70,8 +70,8 @@ ROW_BLOCK = 32
 # and the blocks still share their arrays
 UNIFORM_ULPS = 16
 DENSE_CAP = 2 * 2**30  # bytes of row blocks above which an operator is refused
-# entries per weight-assembly pass, which holds about a dozen temporaries of
-# this size: 2**16 raised the peak memory of a fragmented-grid solve by 5 MiB
+# entries per pass of _moments, which holds about a dozen temporaries of this
+# size: 2**16 raised the peak memory of a fragmented-grid solve by 5 MiB
 CHUNK = 2**14
 
 
@@ -138,40 +138,33 @@ def _hat_weights(a, b, h, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return m0, m1
 
 
-def _weights(x, gaps, alpha: float, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-    """Read-only weights of rows [r0, r1) at columns [c0, c1), by passes
-    over a block of rows and every cell that reaches the block."""
-    # column k of w is column c0 - 1 + k: a cell reaches one column either side
-    w = np.zeros((r1 - r0, c1 - c0 + 2))
-    j0, j1 = max(c0 - 1, 0), min(c1, r1 - 1)
+def _weights(x, gaps, alpha: float, r0: int, r1: int) -> np.ndarray:
+    """Read-only weights of rows [r0, r1) at every column of ``x``, in one
+    pass over the cells left of row ``r1 - 1``."""
+    # cell j adds to columns j and j + 1 in every row past x_j; the clamps zero
+    # a and b in the other rows and change no valid entry: rounding is monotone
+    m = r1 - 1
+    xi, xj, xk = x[r0:r1, None], x[:m], x[1 : m + 1]
+    h = xk - xj
+    a = np.maximum(xi - xj, 0.0)
+    b = np.maximum(xi - xk, 0.0)
+    left, right = _hat_weights(a, b, h, alpha)
+    # a scattered cell of width h is one graininess-weighted kernel term
     inv_gamma = 1.0 / math.gamma(alpha)
-    step = max(CHUNK // max(j1 - j0, 1), 1)
-    # rows up to x_{j0} are zero; a pass takes the cells left of its last row
-    for r in range(max(r0, j0 + 1), r1, step):
-        re = min(r + step, r1)
-        je = min(j1, re - 1)
-        # cell j adds to columns j and j + 1 in every row past x_j; the
-        # clamps zero a and b in the other rows and change no valid entry,
-        # since rounding is monotone
-        xi, xj, xk = x[r:re, None], x[j0:je], x[j0 + 1 : je + 1]
-        h = xk - xj
-        a = np.maximum(xi - xj, 0.0)
-        b = np.maximum(xi - xk, 0.0)
-        left, right = _hat_weights(a, b, h, alpha)
-        # a scattered cell of width h is one graininess-weighted kernel term
-        jump = np.flatnonzero(gaps[j0:je])
-        aj = a[:, jump]
-        with np.errstate(divide="ignore"):
-            left[:, jump] = np.where(aj > 0.0, aj ** (alpha - 1.0), 0.0) * h[jump] * inv_gamma
-        right[:, jump] = 0.0
-        k = j0 - c0 + 1
-        w[r - r0 : re - r0, k : k + je - j0] += left
-        w[r - r0 : re - r0, k + 1 : k + 1 + je - j0] += right
+    jump = np.flatnonzero(gaps[:m])
+    aj = a[:, jump]
+    with np.errstate(divide="ignore"):
+        left[:, jump] = np.where(aj > 0.0, aj ** (alpha - 1.0), 0.0) * h[jump] * inv_gamma
+    right[:, jump] = 0.0
+    # allocated after _hat_weights returns, so never beside its temporaries
+    w = np.zeros((r1 - r0, len(x)))
+    w[:, :m] += left
+    w[:, 1 : m + 1] += right
     # every weight is nonnegative in exact arithmetic; clamp the few that
     # round a hair below zero, in place, so the block is never copied
-    out = np.maximum(w, 0.0, out=w)[:, 1:-1]
-    out.setflags(write=False)
-    return out
+    np.maximum(w, 0.0, out=w)
+    w.setflags(write=False)
+    return w
 
 
 SOE_STEP = 0.25  # the trapezoidal step in McLean's variable x
@@ -325,7 +318,7 @@ class KernelOperator:
         x, gaps = grid.nodes, grid.gap_after
         B, n = ROW_BLOCK, len(x)
         group, self.lattice_dev = _row_groups(x, gaps)
-        self.alpha, self.nodes, self.gaps = alpha, x, gaps
+        self.n = n
         # a block's far cells end at the cell two before its first row:
         # their kernel argument is nearest at its right end if continuous,
         # at its left if scattered
@@ -358,7 +351,7 @@ class KernelOperator:
         for g, k in enumerate(firsts.tolist()):
             b0 = k * B
             b1, lo = min(b0 + B, n), max(b0 - 1, 0)
-            block = _weights(x[lo:], gaps[lo:], alpha, b0 - lo, b1 - lo, 0, b1 - lo)
+            block = _weights(x[lo:b1], gaps[lo:b1], alpha, b0 - lo, b1 - lo)
             self.near[g, : b1 - b0, lo - b0 + 1 : b1 - b0 + 1] = block
         # decay[k] carries the sums from the node before block k - 1 to the
         # one before block k; block 1 starts them, so it needs none
@@ -403,7 +396,7 @@ class KernelOperator:
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         """The product ``W @ g``: the fractional integral at every node."""
-        B, n, nb = ROW_BLOCK, len(self.nodes), len(self.decay)
+        B, n, nb = ROW_BLOCK, self.n, len(self.decay)
         # window k holds g at columns [kB - 1, (k + 1) B); the column before
         # the grid and the rows past it read zero
         gp = np.zeros(nb * B + 1)
@@ -416,14 +409,6 @@ class KernelOperator:
             h += i
         y = self._per_block(self.near, gw) + self._per_block(self.expo, hist)
         return y.ravel()[:n]
-
-    def row(self, i: int) -> np.ndarray:
-        """Read-only weight row ``i``, assembled exactly; ``IndexError``
-        for ``i`` outside [0, n)."""
-        n = len(self.nodes)
-        if not 0 <= i < n:
-            raise IndexError(f"row {i} is outside the {n} rows of the operator")
-        return _weights(self.nodes, self.gaps, self.alpha, i, i + 1, 0, n)[0]
 
 
 @lru_cache(maxsize=4)
@@ -445,7 +430,7 @@ def kernel_weights(grid: Grid, order: float, t: float) -> np.ndarray:
     ``t`` are zero and every entry is nonnegative.  Builds no operator.
     """
     i = grid.index_of(t)
-    return _weights(grid.nodes, grid.gap_after, _alpha_of(order), i, i + 1, 0, len(grid))[0]
+    return _weights(grid.nodes, grid.gap_after, _alpha_of(order), i, i + 1)[0]
 
 
 def frac_integral(g: GridFunction, order: float, t: float) -> float:
@@ -458,7 +443,7 @@ def frac_integral(g: GridFunction, order: float, t: float) -> float:
     """
     grid = g.grid
     i = grid.index_of(t)
-    row = _weights(grid.nodes, grid.gap_after, _alpha_of(order), i, i + 1, 0, i + 1)[0]
+    row = _weights(grid.nodes[: i + 1], grid.gap_after, _alpha_of(order), i, i + 1)[0]
     return float(row @ g.values[: i + 1])
 
 
@@ -475,15 +460,14 @@ def frac_derivative(g: GridFunction, order: float, t: float) -> float:
     to ``sigma(t)`` is the exact delta derivative, at a right-dense node
     it is a first-order forward difference at grid resolution.  The last
     node has no neighbor to difference against and is rejected.
-    Evaluates two weight rows and builds no operator.
+    Evaluates two weight rows, one at a time, and builds no operator.
     """
-    grid = g.grid
-    i = grid.index_of(t)
-    if i == len(grid.nodes) - 1:
+    x = g.grid.nodes
+    i = g.grid.index_of(t)
+    if i == len(x) - 1:
         raise ValueError("frac_derivative needs a node after t")
-    w = _weights(grid.nodes, grid.gap_after, 1.0 - _alpha_of(order), i, i + 2, 0, i + 2)
-    f = w @ g.values[: i + 2]
-    return float((f[1] - f[0]) / (grid.nodes[i + 1] - grid.nodes[i]))
+    f = [frac_integral(g, 1.0 - _alpha_of(order), s) for s in x[i : i + 2]]
+    return float((f[1] - f[0]) / (x[i + 1] - x[i]))
 
 
 def frac_derivative_all(g: GridFunction, order: float) -> np.ndarray:

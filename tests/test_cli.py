@@ -579,6 +579,18 @@ def test_overflowing_lambda_fails_at_the_boundary(
     assert not out.exists()
 
 
+def test_a_table_whose_slope_overflows_fails_in_one_line(tmp_path):
+    # its slope 1e300 / 1e-300 is past the float range: L = inf, which the
+    # bounds refuse, and no RuntimeWarning is printed before the error line
+    table = {"family": "table", "breakpoints": [0.0, 1e-300], "values": [1.0, 1e300]}
+    cfg = write_config(tmp_path, {**AFFINE_PROBLEM, "conductivity": table})
+    out = tmp_path / "out"
+    proc = _child(["threshold", "--config", cfg, "--out", str(out)], capture_output=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: a window span of ") and proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 # -- verify ----------------------------------------------------------------
 
 

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -67,6 +69,14 @@ def test_table_family():
         Table(breakpoints=(0.0, 0.0, 1.0), values=(1.0, 1.0, 1.0))
     with pytest.raises(ValueError, match="positive"):
         Table(breakpoints=(0.0, 1.0), values=(1.0, 0.0))
+
+
+def test_table_slope_past_the_float_range_is_infinite():
+    # L = inf, for the bounds to refuse, and no overflow warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        constants = Table(breakpoints=(0.0, 1e-300), values=(1.0, 1e300)).constants()
+    assert constants == (1.0, 1e300, math.inf)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)

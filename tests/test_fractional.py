@@ -19,7 +19,6 @@ from chronofrac import (
     verify_composition,
 )
 from chronofrac.fractional import (
-    CHUNK,
     ROW_BLOCK,
     SOE_STEP,
     KernelOperator,
@@ -96,49 +95,36 @@ def _block_moments(x, gaps, s, b0, b1):
     return m
 
 
-def _assert_weights_exact(grid, alpha, r0, r1, c0, c1):
-    w = _weights(grid.nodes, grid.gap_after, alpha, r0, r1, c0, c1)
-    assert w.shape == (r1 - r0, c1 - c0)
+def _assert_weights_exact(x, gaps, alpha, r0, r1):
+    w = _weights(x, gaps, alpha, r0, r1)
+    assert w.shape == (r1 - r0, len(x))
     assert not w.flags.writeable
-    assert np.array_equal(w, _weight_columns(grid.nodes, grid.gap_after, alpha, r0, r1, c0, c1))
+    assert np.array_equal(w, _weight_columns(x, gaps, alpha, r0, r1, 0, len(x)))
 
 
 def test_weights_match_cell_loop_on_every_block_shape():
-    # the same arithmetic in another order of passes: equal bit for bit
+    # the same arithmetic in another order: equal bit for bit, on the whole
+    # grid and on grids cut at random ends, as the callers cut them
     rng = np.random.default_rng(41)
     isolated = 0
     for _ in range(30):
         ts = make_scale(rng)
         isolated += any(lo == hi for lo, hi in ts.components)
         grid = build_grid(ts, float(rng.uniform(0.004, 0.05)))
-        n = len(grid)
+        x, gaps, n = grid.nodes, grid.gap_after, len(grid)
         alpha = float(rng.uniform(0.02, 0.98))
-        blocks = [(0, n, 0, n), (0, 1, 0, n), (n - 1, n, 0, n), (0, n, 0, 1), (0, n, n - 1, n)]
+        for r0, r1 in ((0, n), (0, 1), (n - 1, n)):
+            _assert_weights_exact(x, gaps, alpha, r0, r1)
         for _ in range(12):
-            r0, r1 = sorted(rng.integers(0, n, 2).tolist())
-            c0, c1 = sorted(rng.integers(0, n, 2).tolist())
-            blocks.append((r0, r1 + 1, c0, c1 + 1))
-        tall = wide = 0
-        for r0, r1, c0, c1 in blocks:
-            tall += r1 - r0 > c1 - c0
-            wide += r1 - r0 < c1 - c0
-            _assert_weights_exact(grid, alpha, r0, r1, c0, c1)
-        assert tall and wide
+            c = int(rng.integers(0, n))
+            m = int(rng.integers(1, n - c + 1))
+            # a single row, then a block of rows of any height
+            i = int(rng.integers(0, m))
+            _assert_weights_exact(x[c : c + m], gaps[c:], alpha, i, i + 1)
+            r0 = int(rng.integers(0, m))
+            r1 = int(rng.integers(r0 + 1, m + 1))
+            _assert_weights_exact(x[c : c + m], gaps[c:], alpha, r0, r1)
     assert isolated >= 10
-
-
-@pytest.mark.parametrize("extra", [-1, 0, 1])
-@pytest.mark.parametrize("c0", [0, 37])
-def test_weights_exact_across_the_pass_boundary(extra, c0):
-    # rows past every column: each pass holds CHUNK // cells rows, so these
-    # blocks end one row short of, on, and one row past a pass boundary
-    grid = build_grid(TimeScale(((0.0, 1.0), (1.5, 1.5), (1.75, 1.75), (2.0, 3.0))), 1.0 / 256)
-    c1 = c0 + 200
-    step = CHUNK // (c1 - max(c0 - 1, 0))
-    r0 = len(grid) - 2 * step - extra
-    assert r0 >= c1
-    _assert_weights_exact(grid, 0.37, r0, r0 + step + extra, c0, c1)
-    _assert_weights_exact(grid, 0.37, r0, len(grid), c0, c1)
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
@@ -332,22 +318,30 @@ def test_single_node_evaluation_builds_no_operator(monkeypatch):
     value = frac_integral(g, 0.4, t)
     row = kernel_weights(grid, 0.4, t)
     assert builds == []
-    assert np.array_equal(row, frac_integral_operator(grid, 0.4).row(i))
     assert value == float(row[: i + 1] @ g.values[: i + 1])
+    assert abs(frac_integral_operator(grid, 0.4).apply(g.values)[i] - value) <= 1e-12 * value
     assert len(builds) == 1
 
 
-@pytest.mark.parametrize("which", ["-1", "n", "0"])
-def test_operator_row_checks_its_index(which):
-    grid = build_grid(TimeScale(((0.0, 1.0), (1.5, 1.5), (2.0, 2.5))), 0.01)
-    op = KernelOperator(grid, 0.5)
+def test_single_node_values_hold_one_row_pass_at_a_time():
+    # one pass over the cells of one row holds about eight floats a node,
+    # and the derivative takes its two rows one at a time
+    grid = build_grid(TimeScale.interval(0.0, 1.0), 5e-6)
     n = len(grid)
-    i = {"-1": -1, "n": n, "0": 0}[which]
-    if i == 0:
-        assert op.row(0).shape == (n,) and not op.row(0).any()
-    else:
-        with pytest.raises(IndexError, match=f"row {i} is outside the {n} rows"):
-            op.row(i)
+    g = GridFunction.from_array(grid, np.random.default_rng(4).uniform(0.5, 2.0, n))
+    assert n == 200_001
+    values = (
+        lambda: frac_integral(g, 0.5, 1.0),
+        lambda: frac_derivative(g, 0.5, grid.nodes[-2]),
+    )
+    for value in values:
+        tracemalloc.start()
+        try:
+            assert math.isfinite(value())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 72 * n
 
 
 def test_scattered_cell_weight_is_exact_kernel_term():
@@ -392,7 +386,7 @@ def test_operator_matrix_cached_and_read_only():
     arrays = [a for a in _reachable(w1).values() if isinstance(a, np.ndarray)]
     assert arrays and all(not a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
-        w1.nodes[0] = 1.0
+        w1.near[0, 0, 0] = 1.0
 
 
 def test_operator_arrays_reachable_without_closures():
@@ -486,9 +480,9 @@ def test_structured_operator_matches_dense_reference():
             assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
             assert y[0] == 0.0
             assert op.apply(g).tobytes() == y.tobytes()
-        assert not op.row(0).any()
+        assert not kernel_weights(grid, alpha, x[0]).any()
         for i in rng.integers(0, n, 25).tolist() + [n - 1]:
-            row = op.row(i)
+            row = kernel_weights(grid, alpha, x[i])
             assert np.max(np.abs(row - dense[i])) <= 1e-12 * np.max(dense[i], initial=1.0)
             assert np.all(row >= 0.0)
         assert np.all(dense >= 0.0)
@@ -538,7 +532,7 @@ def test_row_blocks_share_arrays_of_equal_geometry():
             assert d <= _lattice_tol(x)
             dev = max(dev, d)
             own = (
-                _weights(x[lo:], gaps[lo:], alpha, b0 - lo, b1 - lo, 0, b1 - lo),
+                _weights(x[lo:b1], gaps[lo:], alpha, b0 - lo, b1 - lo),
                 fractional._decays(x[b0:b1] - x[b0 - 1], s, w),
                 _block_moments(x, gaps, s, b0, b1),
             )
@@ -625,9 +619,7 @@ def test_admission_estimate_equals_the_bytes_held():
         held = sum(a.nbytes for a in (op.near, op.expo, op.moments, op.decay))
         need = _block_bytes(summary["distinct_blocks"], summary["row_blocks"], summary["soe_terms"])
         assert need == held
-        assert summary["bytes"] == held + sum(
-            a.nbytes for a in (op.nodes, op.gaps, op.rates, op.weights)
-        )
+        assert summary["bytes"] == held + op.rates.nbytes + op.weights.nbytes
 
 
 def _scattered_points(n: int) -> TimeScale:
@@ -679,7 +671,7 @@ def test_unequal_long_intervals_build_in_memory_linear_in_n_terms():
     g = np.ones(n)
     y = op.apply(g)
     for i in (16668, 30000, n - 1):
-        ref = float(_weights(grid.nodes, grid.gap_after, 0.5, i, i + 1, 0, n)[0] @ g)
+        ref = float(kernel_weights(grid, 0.5, grid.nodes[i]) @ g)
         assert abs(y[i] - ref) <= 1e-12 * ref
 
 
@@ -700,7 +692,7 @@ def test_discrete_scale_of_20000_points_builds_in_linear_memory():
     g = np.random.default_rng(1).uniform(0.5, 2.0, n)
     y = op.apply(g)
     for i in (300, 5000, n - 1):
-        ref = float(_weights(grid.nodes, grid.gap_after, 0.5, i, i + 1, 0, n)[0] @ g)
+        ref = float(kernel_weights(grid, 0.5, grid.nodes[i]) @ g)
         assert abs(y[i] - ref) <= 1e-12 * ref
 
 
@@ -722,7 +714,7 @@ def test_discrete_scale_of_1e5_points_shares_between_its_holes():
     g = np.random.default_rng(2).uniform(0.5, 2.0, n)
     y = op.apply(g)
     for i in (777, 54321, n - 1):
-        ref = float(op.row(i) @ g)
+        ref = float(kernel_weights(grid, 0.5, grid.nodes[i]) @ g)
         assert abs(y[i] - ref) <= 1e-12 * ref
 
 
@@ -742,7 +734,7 @@ def test_fragmented_scale_of_many_long_intervals_builds_in_linear_memory():
     g = np.random.default_rng(3).uniform(0.5, 2.0, n)
     y = op.apply(g)
     for i in (2000, n // 2, n - 1):
-        ref = float(op.row(i) @ g)
+        ref = float(kernel_weights(grid, 0.5, grid.nodes[i]) @ g)
         assert abs(y[i] - ref) <= 1e-12 * ref
 
 

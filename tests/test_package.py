@@ -2,6 +2,9 @@ import importlib
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 import chronofrac
 
@@ -58,3 +61,31 @@ def test_operator_imports_neither_scipy_nor_numpy_polynomial():
     banned = [m for m in modules if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial")]
     assert banned == []
     assert "numpy.fft" not in modules
+
+
+_FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_small(x):
+    assert x < 10
+"""
+
+
+def test_a_failing_property_prints_its_falsifying_example(tmp_path):
+    # under the project's pytest settings, warnings as errors included, a
+    # failing Hypothesis test ends in its example, not in an INTERNALERROR
+    pytest.importorskip("hypothesis")
+    (tmp_path / "test_property.py").write_text(_FAILING_PROPERTY)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    args = ["-c", str(config), "-p", "no:cacheprovider", str(tmp_path / "test_property.py")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", *args],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+    )
+    out = proc.stdout + proc.stderr
+    assert proc.returncode == 1, out
+    assert "Falsifying example" in out and "INTERNALERROR" not in out

@@ -676,7 +676,7 @@ def test_bounds_carry_the_kernel_error_of_the_far_field():
     grid = spec.grid
     n = len(grid)
     fv = np.full(n, 2.0)
-    exact = spec.lam * (_weights(grid.nodes, grid.gap_after, 0.5, 0, n, 0, n) @ fv)
+    exact = spec.lam * (_weights(grid.nodes, grid.gap_after, 0.5, 0, n) @ fv)
     exact /= grid.window_integral(fv) ** 2
     assert np.max(np.abs(report.solution.values - exact)) <= report.apriori_bound
     u = report.solution.values
