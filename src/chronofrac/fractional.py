@@ -384,31 +384,47 @@ class KernelOperator:
             "lattice_dev": self.lattice_dev,
         }
 
-    def _per_block(self, a: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """``a[group[k]] @ v[k]`` for every row block k."""
-        out = np.empty((len(v), a.shape[1]))
+    def _per_block(self, a: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out[:, k] = a[group[k]] @ v[:, k]`` for every row block k and
+        lane: each lane makes the calls a lone lane would, so lanes agree
+        bit for bit with separate applies."""
         for k0, k1, g, shared in self.runs:
             if shared:
-                out[k0:k1] = v[k0:k1] @ a[g].T
+                np.matmul(v[:, k0:k1], a[g].T, out=out[:, k0:k1])
             else:
-                out[k0:k1] = np.vecdot(a[g : g + k1 - k0], v[k0:k1, None, :])
+                np.vecdot(a[g : g + k1 - k0], v[:, k0:k1, None, :], out=out[:, k0:k1])
         return out
 
     def apply(self, g: np.ndarray) -> np.ndarray:
-        """The product ``W @ g``: the fractional integral at every node."""
+        """The product ``W @ g``: the fractional integral at every node.
+
+        ``g`` is one sample vector of length n, or an (m, n) array of m
+        lanes, lanes first.  Row i of the result is lane i's integral,
+        bit-identical to applying the operator to that lane alone.
+        """
         B, n, nb = ROW_BLOCK, self.n, len(self.decay)
-        # window k holds g at columns [kB - 1, (k + 1) B); the column before
-        # the grid and the rows past it read zero
-        gp = np.zeros(nb * B + 1)
-        gp[1 : n + 1] = g
-        gw = np.lib.stride_tricks.sliding_window_view(gp, B + 1)[::B]
-        inc = self._per_block(self.moments, gw)
+        lanes = np.reshape(g, (-1, n))
+        m = len(lanes)
+        # window k holds a lane at columns [kB - 1, (k + 1) B); the column
+        # before the grid and the rows past it read zero.  The windows are a
+        # strided view of gp, made directly: sliding_window_view spends
+        # more Python time on it than a lane's recurrence step takes
+        gp = np.zeros((m, nb * B + 1))
+        gp[:, 1 : n + 1] = lanes
+        gw = np.ndarray((m, nb, B + 1), float, gp, 0, (gp.strides[0], 8 * B, 8))
+        # the recurrence steps once per block for every lane, over
+        # contiguous (m, N) blocks.  decay takes their shape, repeated past
+        # one lane: a broadcast step costs more than the step itself
+        inc = np.empty((nb, m, len(self.rates)))
+        self._per_block(self.moments, gw, inc.transpose(1, 0, 2))
         hist = np.zeros_like(inc)
-        for d, i, prev, h in zip(self.decay[1:], inc, hist, hist[1:]):
+        decay = self.decay[:, None] if m == 1 else np.repeat(self.decay[:, None], m, axis=1)
+        for d, i, prev, h in zip(decay[1:], inc, hist, hist[1:]):
             np.multiply(d, prev, out=h)
             h += i
-        y = self._per_block(self.near, gw) + self._per_block(self.expo, hist)
-        return y.ravel()[:n]
+        y = self._per_block(self.near, gw, np.empty((m, nb, B)))
+        y += self._per_block(self.expo, hist.transpose(1, 0, 2), np.empty_like(y))
+        return y.reshape(*np.shape(g)[:-1], nb * B)[..., :n]
 
 
 @lru_cache(maxsize=4)
@@ -448,7 +464,9 @@ def frac_integral(g: GridFunction, order: float, t: float) -> float:
 
 
 def frac_integral_all(g: GridFunction, order: float) -> np.ndarray:
-    """Fractional integral of ``g`` at every grid node."""
+    """Fractional integral of ``g`` at every grid node: one lane of the
+    cached operator's ``apply``, which takes several functions on the grid
+    at once as the rows of an (m, n) array."""
     return frac_integral_operator(g.grid, order).apply(g.values)
 
 

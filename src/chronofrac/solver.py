@@ -18,6 +18,7 @@ error and sup-norm bounds that this module also exposes.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -37,11 +38,19 @@ __all__ = [
     "apply_K",
     "equicontinuity_modulus",
     "picard_solve",
+    "picard_sweep",
     "existence_diagnostics",
     "problem_from_json",
 ]
 
 DEFAULT_CELLS = 512
+# bytes of each (lanes, n) buffer of the Picard loop, which holds about ten
+# of them across the loop and its apply: the lane count keeps the loop's
+# memory fixed, as fractional.CHUNK does for _moments.  On the 2504-node
+# sweep-lambda grid (2-core Xeon) it gives 6 lanes: the 24-lambda Picard
+# went from 42 to 23 ms in process, for 0.7 MiB of peak RSS; 8 to 13 lanes
+# were no faster and cost up to 2.3 MiB
+LANE_BYTES = 2**17
 
 
 @dataclass(frozen=True)
@@ -237,10 +246,17 @@ def denominator(spec: ProblemSpec, u: GridFunction) -> float:
     return spec.grid.window_integral(spec.model.apply(u.values)) ** 2
 
 
-def _apply_k_array(spec: ProblemSpec, u: np.ndarray) -> np.ndarray:
+def _apply_k_lanes(spec: ProblemSpec, u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """``K(u)`` for every lane (row) of ``u``, at the lane's multiplier in
+    ``lam``; each row is bit-identical to that lane applied alone."""
     fv = spec.model.apply(u)
-    den = spec.grid.window_integral(fv) ** 2
-    return spec.lam * frac_integral_operator(spec.grid, 2.0 * spec.alpha).apply(fv) / den
+    # squared as Python floats, by libm's pow as a lone lane always was: on
+    # random floats pow(x, 2) differs from x * x about once in a thousand
+    den = np.array([w**2 for w in spec.grid.window_integral(fv).tolist()])
+    ku = frac_integral_operator(spec.grid, 2.0 * spec.alpha).apply(fv)
+    ku *= lam[:, None]
+    ku /= den[:, None]
+    return ku
 
 
 def apply_K(spec: ProblemSpec, u: GridFunction) -> GridFunction:
@@ -250,7 +266,7 @@ def apply_K(spec: ProblemSpec, u: GridFunction) -> GridFunction:
     empty window) and is nonnegative whenever ``lam >= 0``.
     """
     _check_grid(spec, u)
-    return GridFunction(spec.grid, _apply_k_array(spec, u.values))
+    return GridFunction(spec.grid, _apply_k_lanes(spec, u.values[None], np.array([spec.lam]))[0])
 
 
 # -- Picard iteration ------------------------------------------------------
@@ -314,43 +330,100 @@ def picard_solve(spec: ProblemSpec, u0: GridFunction | None = None) -> SolveRepo
     Starts from ``u0`` (default: identically zero) and stops when the
     sup-norm update drops to ``tol`` or ``max_iter`` is exhausted; the
     latter is reported through ``converged``, not raised.  The residual
-    is measured by one extra operator application after the loop.
+    is measured by one extra operator application after the loop.  The
+    one-lane case of ``picard_sweep``.
+    """
+    ((_, report),) = picard_sweep(spec, [spec.lam], u0)
+    return report
+
+
+class _Lane:
+    """One multiplier's Picard run in the lane loop of ``picard_sweep``.
+    ``converged`` is set when the run stops; its residual comes next.  A
+    plain class: a dataclass costs each CLI process 0.5 ms to create."""
+
+    __slots__ = ("index", "spec", "trace", "converged")
+
+    def __init__(self, index: int, spec: ProblemSpec):
+        self.index, self.spec = index, spec
+        self.trace: list[float] = []
+        self.converged: bool | None = None
+
+
+def picard_sweep(
+    spec: ProblemSpec, lams: Iterable[float], u0: GridFunction | None = None
+) -> Iterator[tuple[int, SolveReport]]:
+    """``picard_solve`` of ``spec`` at every multiplier of ``lams``, as the
+    lanes of one Picard loop on ``spec``'s grid.
+
+    Yields ``(k, report)`` for ``lams[k]`` as each lane finishes, which
+    need not be in order; every report is the one ``picard_solve`` gives
+    alone, bit for bit.  Lanes enter in order, up to as many at once as
+    ``LANE_BYTES`` allows, each starting from ``u0``.  A lane leaves after
+    one more apply past its last step, which gives its residual, and the
+    next multiplier takes its place.  The loop holds the lanes' iterates
+    only: a report is built as its lane leaves.
     """
     grid = spec.grid
+    n = len(grid.nodes)
     if u0 is None:
-        u = np.zeros(len(grid.nodes))
+        start = np.zeros(n)
     else:
         _check_grid(spec, u0)
-        u = u0.values
-    theta = spec.theta
-    trace: list[float] = []
-    converged = False
-    for _ in range(spec.max_iter):
-        ku = _apply_k_array(spec, u)
-        nxt = ku if theta == 1.0 else (1.0 - theta) * u + theta * ku
-        step = float(np.max(np.abs(nxt - u)))
-        trace.append(step)
-        u = nxt
-        if step <= spec.tol:
-            converged = True
-            break
-    residual = float(np.max(np.abs(_apply_k_array(spec, u) - u)))
-    q, sup = spec.bounds.q, spec.bounds.sup
-    q_theta, gap = _damped_contraction(theta, q)
+        start = u0.values
+    theta, width = spec.theta, max(1, LANE_BYTES // (8 * n))
     operator = frac_integral_operator(grid, 2.0 * spec.alpha).to_json()
-    apriori = (q_theta * trace[-1] + operator["eps"] * sup) / gap if q < 1.0 else None
+    pending = enumerate(lams)
+
+    def enter() -> _Lane | None:
+        """The next multiplier's lane; None once every one has entered."""
+        for k, lam in pending:
+            return _Lane(k, spec.at_lambda(lam))
+        return None
+
+    lanes = [lane for lane in (enter() for _ in range(width)) if lane is not None]
+    u = np.tile(start, (len(lanes), 1))
+    while lanes:
+        ku = _apply_k_lanes(spec, u, np.array([lane.spec.lam for lane in lanes]))
+        nxt = ku if theta == 1.0 else (1.0 - theta) * u + theta * ku
+        steps = np.max(np.abs(nxt - u), axis=1).tolist()
+        kept, rows = [], []
+        for i, lane in enumerate(lanes):
+            if lane.converged is not None:
+                residual = float(np.max(np.abs(ku[i] - u[i])))
+                yield lane.index, _report(lane, u[i], residual, operator)
+                lane = enter()
+                if lane is None:
+                    continue
+                nxt[i] = start
+            else:
+                lane.trace.append(steps[i])
+                if steps[i] <= lane.spec.tol:
+                    lane.converged = True
+                elif len(lane.trace) == lane.spec.max_iter:
+                    lane.converged = False
+            kept.append(lane)
+            rows.append(i)
+        lanes, u = kept, nxt if len(rows) == len(nxt) else nxt[rows]
+
+
+def _report(lane: _Lane, u: np.ndarray, residual: float, operator: dict) -> SolveReport:
+    """The report of a lane that has left the loop at ``u``."""
+    q, sup = lane.spec.bounds.q, lane.spec.bounds.sup
+    q_theta, gap = _damped_contraction(lane.spec.theta, q)
+    apriori = (q_theta * lane.trace[-1] + operator["eps"] * sup) / gap if q < 1.0 else None
     return SolveReport(
-        solution=GridFunction(grid, u),
-        iterations=len(trace),
-        converged=converged,
-        trace=tuple(trace),
+        solution=GridFunction(lane.spec.grid, u),
+        iterations=len(lane.trace),
+        converged=lane.converged,
+        trace=tuple(lane.trace),
         q=q,
-        lambda_star=spec.bounds.lambda_star,
+        lambda_star=lane.spec.bounds.lambda_star,
         residual=residual,
         apriori_bound=apriori,
         sup_bound=sup,
         positive=bool(np.all(u >= 0.0)),
-        operator=operator,
+        operator=dict(operator),
     )
 
 

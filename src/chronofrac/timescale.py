@@ -276,16 +276,23 @@ class Grid:
         right.setflags(write=False)
         return left, right
 
-    def window_integral(self, values: np.ndarray, i: int = 0, j: int | None = None) -> float:
+    def window_integral(
+        self, values: np.ndarray, i: int = 0, j: int | None = None
+    ) -> float | np.ndarray:
         """Delta integral of node samples over [nodes[i], nodes[j]).
 
         ``j`` defaults to the last node, so the default window is the
-        whole scale [t0, T).
+        whole scale [t0, T).  ``values`` of shape (m, n) are m lanes of
+        samples, which give one integral per lane, each bit-identical to
+        that lane's float.
         """
         left, right = self._cell_weights
         if j is None:
             j = len(self.nodes) - 1
-        return float(left[i:j] @ values[i:j] + right[i:j] @ values[i + 1 : j + 1])
+        total = np.vecdot(left[i:j], values[..., i:j]) + np.vecdot(
+            right[i:j], values[..., i + 1 : j + 1]
+        )
+        return float(total) if np.ndim(total) == 0 else total
 
 
 def build_grid(ts: TimeScale, h_max: float) -> Grid:
@@ -299,20 +306,36 @@ def build_grid(ts: TimeScale, h_max: float) -> Grid:
     if not h_max > 0:
         raise ValueError("h_max must be positive")
     lo, hi = ts.components.T
-    cells = np.where(hi > lo, np.maximum(1.0, np.ceil((hi - lo) / h_max - SNAP)), 0.0)
+    width = hi - lo
+    cells = np.ceil(width / h_max - SNAP)
+    np.maximum(cells, 1.0, out=cells)
+    cells *= width > 0.0  # a point has no cell
     count = float(cells.sum()) + len(cells)
     if not count <= MAX_NODES:
         raise GridTooLarge(
             f"h_max={h_max!r} gives a grid of {count:.7g} nodes, above the {MAX_NODES} node cap"
         )
     # every component in one pass, as np.linspace lays each down: node k of
-    # n cells is k ((b - a) / n) + a, and the last is b itself
-    sizes = cells.astype(np.intp) + 1
-    ends, comp = np.cumsum(sizes) - 1, np.repeat(np.arange(len(sizes)), sizes)
-    step = np.divide(hi - lo, cells, out=np.zeros_like(cells), where=cells > 0)
-    nodes = (np.arange(len(comp)) - (ends - sizes + 1)[comp]) * step[comp] + lo[comp]
+    # n cells is k ((b - a) / n) + a, and the last is b itself.  In place,
+    # one n-length temporary at a time beside the nodes, and the k-length
+    # arrays freed as they are done with: on a discrete scale k is n
+    sizes = cells.astype(np.intp)
+    del width, cells
+    sizes += 1
+    starts = np.cumsum(sizes)
+    starts -= sizes
+    nodes = np.arange(float(starts[-1] + sizes[-1]))
+    nodes -= np.repeat(starts, sizes)
+    del starts
+    step = hi - lo
+    np.divide(step, sizes - 1, out=step, where=sizes > 1)
+    nodes *= np.repeat(step, sizes)
+    del step
+    nodes += np.repeat(lo, sizes)
+    ends = np.cumsum(sizes, out=sizes)
+    ends -= 1
     nodes[ends] = hi
-    del cells, sizes, ends, comp, step  # Grid copies the nodes: free the rest first
+    del sizes, ends  # Grid copies the nodes: free the rest first
     return Grid(ts, nodes, float(h_max))
 
 

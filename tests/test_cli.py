@@ -407,6 +407,68 @@ def test_sweep_rows_match_single_solves(tmp_path):
         }
 
 
+# the README's scale at 1503 nodes, where a lane loop runs a handful of lanes
+README_PROBLEM = {
+    **AFFINE_PROBLEM,
+    "time_scale": [[0.0, 1.0], [1.5, 1.5], [2.0, 2.5]],
+    "h_max": 1e-3,
+}
+
+
+def test_sweep_lanes_write_the_rows_of_single_solves(tmp_path):
+    # twice the lanes and three more multipliers, damped and from lambda = 0:
+    # lanes that hit max_iter run beside lanes that converge, lanes leave
+    # out of order, and every row is its single solve's, in lambda order
+    problem = {
+        **README_PROBLEM,
+        "theta": 0.5,
+        "max_iter": 45,
+        "conductivity": {"family": "bounded_rational", "c1": 1.0, "c2": 3.0, "scale": 0.5},
+    }
+    spec = problem_from_json(problem)
+    count = 2 * (solver.LANE_BYTES // (8 * len(spec.grid))) + 3
+    assert count >= 7
+    cfg = write_config(tmp_path, problem)
+    out = tmp_path / "out"
+    flags = ["--lambda-min", "0", "--lambda-max", repr(5.0 * (count - 1)), "--lambda-step", "5"]
+    assert main(["sweep", "--config", cfg, "--out", str(out), *flags]) == 0
+    rows = read_csv(out / "sweep.csv")
+    assert len(rows) == count
+    for k, row in enumerate(rows):
+        rep = picard_solve(spec.at_lambda(5.0 * k))
+        assert row == {
+            "lambda": repr(5.0 * k),
+            "iterations": str(rep.iterations),
+            "residual": repr(rep.residual),
+            "q": repr(rep.q),
+            "converged": "true" if rep.converged else "false",
+            "sup_norm": repr(rep.solution.norm_inf()),
+        }
+    assert {row["converged"] for row in rows} == {"true", "false"}
+
+
+def test_sweep_memory_does_not_grow_with_its_lambda_count(tmp_path):
+    # the lanes hold O(lanes n) floats, a finished lane only its row, and
+    # the range no list of its values: 2000 multipliers peak within 10 % of
+    # 16, which already fill every lane
+    problem = {**README_PROBLEM, "max_iter": 1}
+    assert solver.LANE_BYTES // (8 * len(problem_from_json(problem).grid)) < 16
+    cfg = write_config(tmp_path, problem)
+    out = tmp_path / "out"
+    peaks = []
+    for count in (16, 16, 2000):  # the first run builds the operator
+        flags = ["--lambda-min", "0", "--lambda-max", repr(0.001 * (count - 1))]
+        tracemalloc.start()
+        try:
+            args = ["sweep", "--config", cfg, "--out", str(out), *flags, "--lambda-step", "0.001"]
+            assert main(args) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(read_csv(out / "sweep.csv")) == 2000
+    assert peaks[2] <= 1.1 * peaks[1]
+
+
 def test_sweep_builds_one_grid_and_one_operator(tmp_path, monkeypatch):
     calls = {"grid": 0, "operator": 0}
 

@@ -494,6 +494,32 @@ def test_structured_operator_matches_dense_reference():
     assert shared and unshared
 
 
+def test_lanes_apply_bit_for_bit_as_lone_lanes():
+    # an (m, n) apply makes, lane by lane, the calls a lone lane makes: on
+    # shared, unshared and discrete row blocks, at one lane, on one row
+    # block and off the row-block lattice, every row is its lane's apply
+    rng = np.random.default_rng(19)
+    grids = [build_grid(make_scale(rng), 0.01) for _ in range(3)]
+    grids += [
+        build_grid(fragmented_scale(rng, 80), 0.005),
+        build_grid(TimeScale.from_points(np.cumsum(rng.uniform(0.05, 1.5, 333)).tolist()), 1.0),
+        build_grid(TimeScale.interval(0.0, 1.0), 0.05),
+    ]
+    assert all(len(grid) % ROW_BLOCK for grid in grids)
+    shared = unshared = 0
+    for grid in grids:
+        op = KernelOperator(grid, float(rng.uniform(0.05, 0.95)))
+        shared += any(run[3] for run in op.runs)
+        unshared += not all(run[3] for run in op.runs)
+        for m in (1, 2, 5):
+            lanes = rng.uniform(-1.0, 2.0, (m, len(grid)))
+            y = op.apply(lanes)
+            assert y.shape == lanes.shape
+            for row, lane in zip(y, lanes):
+                assert row.tobytes() == op.apply(lane).tobytes()
+    assert shared and unshared
+
+
 def test_row_blocks_share_arrays_of_equal_geometry():
     # a row block reads the arrays of its group's first block: they are its
     # own near field, decays and moments, to within the lattice deviation;

@@ -25,7 +25,9 @@ from chronofrac import (
     existence_diagnostics,
     frac_integral_operator,
     picard_solve,
+    picard_sweep,
     problem_from_json,
+    solver,
 )
 from chronofrac.cli import _write_report
 from chronofrac.fractional import ROW_BLOCK, _weights
@@ -415,6 +417,26 @@ def test_picard_custom_start_and_grid_check():
     other = canonical_spec(0.05, h_max=0.5)
     with pytest.raises(ValueError, match="not sampled on the problem grid"):
         picard_solve(spec, GridFunction.zeros(other.grid))
+
+
+def test_sweep_lanes_leave_as_they_finish_with_the_lone_reports():
+    # a lane that hits max_iter first, then lambda = 0, which converges at
+    # once from zero: lanes leave out of order and refill, and each report,
+    # from a custom start too, is the one its lone solve gives
+    spec = canonical_spec(0.05, h_max=1.0 / 512, theta=0.5, max_iter=45)
+    width = solver.LANE_BYTES // (8 * len(spec.grid))
+    lams = [40.0, 0.0] + [0.02 * k for k in range(1, width + 2)]
+    for u0 in (None, GridFunction.sample(spec.grid, lambda t: t)):
+        order = []
+        for k, report in picard_sweep(spec, lams, u0):
+            order.append(k)
+            lone = picard_solve(spec.at_lambda(lams[k]), u0)
+            assert report.to_json() == lone.to_json()
+            assert report.solution.values.tobytes() == lone.solution.values.tobytes()
+            assert report.converged == (k != 0)
+        assert sorted(order) == list(range(len(lams)))
+        assert order[0] == 1 or u0 is not None
+    assert list(picard_sweep(spec, [])) == []
 
 
 def test_solve_report_serializes(tmp_path):

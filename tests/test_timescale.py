@@ -326,10 +326,11 @@ def test_gap_after_pins_gaps_near_twice_snap(left, right_end):
 
 
 def test_a_million_scattered_points_and_their_grid_stay_small():
-    # one (k, 2) array for the scale, and a grid build that frees its layout
-    # arrays before the grid copies the nodes: 1.2e6 points hold 29.7 MiB
-    # and peak at 92.6 MiB, where tuples beside the array held 130.2 and
-    # peaked at 235.5
+    # one (k, 2) array for the scale, and a grid build that lays its nodes
+    # down in place and frees its layout arrays before the grid copies the
+    # nodes: 1.2e6 points hold 28.6 MiB and peak at 79.0 MiB, in the grid's
+    # endpoint check.  Tuples beside the array held 130.2 and peaked at
+    # 235.5; a layout of gathered n-length temporaries peaked at 91.6
     points = np.cumsum(np.random.default_rng(7).uniform(0.2, 1.5, 1_200_000))
     tracemalloc.start()
     try:
@@ -339,7 +340,7 @@ def test_a_million_scattered_points_and_their_grid_stay_small():
         tracemalloc.stop()
     assert len(grid) == 1_200_000 and grid.gap_after.all()
     assert held <= 32 * 2**20
-    assert peak <= 150 * 2**20
+    assert peak <= 95 * 2**20
 
 
 def test_grid_rejects_missing_endpoint():
