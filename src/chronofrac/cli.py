@@ -64,7 +64,10 @@ def _load_problem(config) -> ProblemSpec:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -148,10 +151,9 @@ def _sweep_range(args, config: dict, spec: ProblemSpec) -> tuple[float, float, i
         raise ConfigError("field 'lambda_max' must be at least lambda_min")
     if lam_min < 0:
         raise ConfigError("field 'lambda_min' must be nonnegative")
-    span = (lam_max - lam_min) / step
-    if not span < MAX_SWEEP:
+    span = (lam_max - lam_min) / step  # inf for a subnormal step: test it before floor
+    if not span < MAX_SWEEP or (count := int(math.floor(span + 1e-9)) + 1) > MAX_SWEEP:
         raise ConfigError(f"sweep range must give at most {MAX_SWEEP} lambda values")
-    count = int(math.floor(span + 1e-9)) + 1
     try:  # the largest value meets every solve's checks, before any solve runs
         replace(spec, lam=lam_min + (count - 1) * step)
     except ValueError as exc:
@@ -171,17 +173,14 @@ def cmd_sweep(args) -> int:
     lam_min, step, count = _sweep_range(args, config, spec)
     out = _out_dir(args)
 
-    # lanes finish out of order: a row waits in `done` until every row
-    # before it is written, and no solution is kept past its row
-    bad, done, written = 0, {}, 0
+    # each row is written as its report arrives, and no solution is kept past it
+    bad = 0
     with open(out / "sweep.csv", "w") as fh:
         fh.write("lambda,iterations,residual,q,converged,sup_norm\n")
-        for k, rep in picard_sweep(spec, (lam_min + k * step for k in range(count))):
+        lams = (lam_min + k * step for k in range(count))
+        for k, rep in enumerate(picard_sweep(spec, lams)):
             bad += not rep.converged
-            done[k] = _sweep_row(lam_min + k * step, rep)
-            while written in done:
-                fh.write(done.pop(written))
-                written += 1
+            fh.write(_sweep_row(lam_min + k * step, rep))
 
     print(f"sweep: {count} runs, {bad} without convergence")
     if args.strict and bad:
@@ -329,6 +328,7 @@ def cmd_verify(args) -> int:
             cases.extend(load_suite(path))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+    out = _out_dir(args) if args.out else None
     lines, failures = _run_cases(cases)
     ref_lines, ref_failures = _refinement_study()
     lines += ref_lines
@@ -337,8 +337,7 @@ def cmd_verify(args) -> int:
         print(line)
     total = len(cases) + 2
     print(f"verify: {len(cases)} cases, {total} checks, {failures} failures")
-    if args.out:
-        out = _out_dir(args)
+    if out:
         (out / "verify.json").write_text(
             json.dumps({"checks": total, "failures": failures, "lines": lines}, indent=2)
             + "\n"

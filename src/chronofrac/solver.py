@@ -21,6 +21,7 @@ import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -100,12 +101,6 @@ class ProblemSpec:
     @cached_property
     def grid(self) -> Grid:
         return build_grid(self.timescale, self.h_max)
-
-    def at_lambda(self, lam: float) -> ProblemSpec:
-        """The same problem at multiplier ``lam``, sharing this one's grid."""
-        other = replace(self, lam=lam)
-        other.__dict__["grid"] = self.grid
-        return other
 
     def to_json(self) -> dict:
         return {
@@ -333,36 +328,33 @@ def picard_solve(spec: ProblemSpec, u0: GridFunction | None = None) -> SolveRepo
     is measured by one extra operator application after the loop.  The
     one-lane case of ``picard_sweep``.
     """
-    ((_, report),) = picard_sweep(spec, [spec.lam], u0)
+    (report,) = picard_sweep(spec, [spec.lam], u0)
     return report
 
 
 class _Lane:
-    """One multiplier's Picard run in the lane loop of ``picard_sweep``.
-    ``converged`` is set when the run stops; its residual comes next.  A
-    plain class: a dataclass costs each CLI process 0.5 ms to create."""
+    """One multiplier's Picard run in a batch of ``picard_sweep``.
+    ``converged`` is set when the run stops, and ``report`` one apply later.
+    A plain class: a dataclass costs each CLI process 0.5 ms to create."""
 
-    __slots__ = ("index", "spec", "trace", "converged")
+    __slots__ = ("lam", "bounds", "trace", "converged", "report")
 
-    def __init__(self, index: int, spec: ProblemSpec):
-        self.index, self.spec = index, spec
+    def __init__(self, lam: float, bounds: Bounds):
+        self.lam, self.bounds = lam, bounds
         self.trace: list[float] = []
         self.converged: bool | None = None
 
 
 def picard_sweep(
     spec: ProblemSpec, lams: Iterable[float], u0: GridFunction | None = None
-) -> Iterator[tuple[int, SolveReport]]:
-    """``picard_solve`` of ``spec`` at every multiplier of ``lams``, as the
-    lanes of one Picard loop on ``spec``'s grid.
+) -> Iterator[SolveReport]:
+    """``picard_solve`` of ``spec`` at every multiplier of ``lams``, in order.
 
-    Yields ``(k, report)`` for ``lams[k]`` as each lane finishes, which
-    need not be in order; every report is the one ``picard_solve`` gives
-    alone, bit for bit.  Lanes enter in order, up to as many at once as
-    ``LANE_BYTES`` allows, each starting from ``u0``.  A lane leaves after
-    one more apply past its last step, which gives its residual, and the
-    next multiplier takes its place.  The loop holds the lanes' iterates
-    only: a report is built as its lane leaves.
+    The multipliers run in consecutive batches, as the lanes of one Picard
+    loop on ``spec``'s grid: as many as ``LANE_BYTES`` allows, each from
+    ``u0``.  A lane leaves after one more apply past its last step, which
+    gives its residual, and a batch's reports come once its last lane has
+    left.  Each report is the one ``picard_solve`` gives alone, bit for bit.
     """
     grid = spec.grid
     n = len(grid.nodes)
@@ -371,55 +363,51 @@ def picard_sweep(
     else:
         _check_grid(spec, u0)
         start = u0.values
-    theta, width = spec.theta, max(1, LANE_BYTES // (8 * n))
+    width = max(1, LANE_BYTES // (8 * n))
     operator = frac_integral_operator(grid, 2.0 * spec.alpha).to_json()
-    pending = enumerate(lams)
+    lams = iter(lams)
+    while batch := [_Lane(lam, replace(spec, lam=lam).bounds) for lam in islice(lams, width)]:
+        yield from _run_batch(spec, batch, start, operator)
 
-    def enter() -> _Lane | None:
-        """The next multiplier's lane; None once every one has entered."""
-        for k, lam in pending:
-            return _Lane(k, spec.at_lambda(lam))
-        return None
 
-    lanes = [lane for lane in (enter() for _ in range(width)) if lane is not None]
+def _run_batch(spec: ProblemSpec, batch: list[_Lane], start: np.ndarray, operator: dict) -> list:
+    """The reports of ``batch``, its lanes run from ``start``.  A frame of
+    its own, so the batch's arrays are freed before the next batch's."""
+    theta, lanes = spec.theta, batch
     u = np.tile(start, (len(lanes), 1))
     while lanes:
-        ku = _apply_k_lanes(spec, u, np.array([lane.spec.lam for lane in lanes]))
+        ku = _apply_k_lanes(spec, u, np.array([lane.lam for lane in lanes]))
         nxt = ku if theta == 1.0 else (1.0 - theta) * u + theta * ku
         steps = np.max(np.abs(nxt - u), axis=1).tolist()
-        kept, rows = [], []
+        rows = []
         for i, lane in enumerate(lanes):
             if lane.converged is not None:
-                residual = float(np.max(np.abs(ku[i] - u[i])))
-                yield lane.index, _report(lane, u[i], residual, operator)
-                lane = enter()
-                if lane is None:
-                    continue
-                nxt[i] = start
-            else:
-                lane.trace.append(steps[i])
-                if steps[i] <= lane.spec.tol:
-                    lane.converged = True
-                elif len(lane.trace) == lane.spec.max_iter:
-                    lane.converged = False
-            kept.append(lane)
+                lane.report = _report(spec, lane, u[i], ku[i], operator)
+                continue
+            lane.trace.append(steps[i])
+            if steps[i] <= spec.tol:
+                lane.converged = True
+            elif len(lane.trace) == spec.max_iter:
+                lane.converged = False
             rows.append(i)
-        lanes, u = kept, nxt if len(rows) == len(nxt) else nxt[rows]
+        lanes = [lanes[i] for i in rows]
+        u = nxt if len(rows) == len(nxt) else nxt[rows]
+    return [lane.report for lane in batch]
 
 
-def _report(lane: _Lane, u: np.ndarray, residual: float, operator: dict) -> SolveReport:
-    """The report of a lane that has left the loop at ``u``."""
-    q, sup = lane.spec.bounds.q, lane.spec.bounds.sup
-    q_theta, gap = _damped_contraction(lane.spec.theta, q)
+def _report(spec: ProblemSpec, lane: _Lane, u: np.ndarray, ku: np.ndarray, operator: dict):
+    """The report of a lane that leaves the loop at ``u``, with image ``ku``."""
+    q, sup = lane.bounds.q, lane.bounds.sup
+    q_theta, gap = _damped_contraction(spec.theta, q)
     apriori = (q_theta * lane.trace[-1] + operator["eps"] * sup) / gap if q < 1.0 else None
     return SolveReport(
-        solution=GridFunction(lane.spec.grid, u),
+        solution=GridFunction(spec.grid, u),
         iterations=len(lane.trace),
         converged=lane.converged,
         trace=tuple(lane.trace),
         q=q,
-        lambda_star=lane.spec.bounds.lambda_star,
-        residual=residual,
+        lambda_star=lane.bounds.lambda_star,
+        residual=float(np.max(np.abs(ku - u))),
         apriori_bound=apriori,
         sup_bound=sup,
         positive=bool(np.all(u >= 0.0)),
@@ -485,7 +473,7 @@ def existence_diagnostics(spec: ProblemSpec, report: SolveReport) -> ExistenceDi
     rounding allowance.
     """
     u = report.solution.values
-    nodes = spec.grid.nodes
+    nodes = report.solution.grid.nodes
     eps = 1e-12 * (1.0 + float(np.max(np.abs(u))))
 
     obs_sup = float(np.max(np.abs(u)))

@@ -234,7 +234,8 @@ class Grid:
         off = ts._component_of(nodes) < 0
         if off.any():
             raise ValueError(f"grid node {nodes[off][0].item()!r} lies outside the time scale")
-        if (_snap_index(nodes, nodes, ts.components) < 0).any():
+        # one column of ends at a time: half the temporaries of all 2k at once
+        if any((_snap_index(nodes, nodes, ends) < 0).any() for ends in ts.components.T):
             raise ValueError("every component endpoint must be a grid node")
         gap = ts._component_of(0.5 * (nodes[:-1] + nodes[1:])) < 0
         gap.setflags(write=False)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from chronofrac import fractional, picard_solve, problem_from_json, solver
-from chronofrac.cli import main
+from chronofrac.cli import _build_parser, _sweep_range, main
 from conftest import fragmented_scale
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -358,6 +358,25 @@ def test_sweep_rejects_non_finite_range(tmp_path, capsys, values, message):
     assert message in capsys.readouterr().err
 
 
+def test_sweep_refuses_a_count_past_the_cap(tmp_path, capsys):
+    # a span of 9999.99999999995 steps is under the cap but rounds to 10001
+    # values, the last of them 0.01, past lambda_max
+    cfg = write_config(tmp_path, AFFINE_PROBLEM)
+    out = tmp_path / "out"
+    flags = ["--lambda-min", "0", "--lambda-max", "9.99999999999995e-3", "--lambda-step", "1e-6"]
+    assert main(["sweep", "--config", cfg, "--out", str(out), *flags]) == 1
+    assert "at most 10000 lambda values" in capsys.readouterr().err
+    assert not out.exists()
+    # 9.999e-3 gives exactly the cap, counted without running its solves
+    flags[3] = "9.999e-3"
+    args = _build_parser().parse_args(["sweep", "--config", cfg, "--out", str(out), *flags])
+    assert _sweep_range(args, AFFINE_PROBLEM, problem_from_json(AFFINE_PROBLEM)) == (
+        0.0,
+        1e-6,
+        10_000,
+    )
+
+
 def test_sweep_strict_non_convergence(tmp_path, capsys):
     cfg = write_config(tmp_path, {**AFFINE_PROBLEM, "max_iter": 2})
     args = [
@@ -417,8 +436,8 @@ README_PROBLEM = {
 
 def test_sweep_lanes_write_the_rows_of_single_solves(tmp_path):
     # twice the lanes and three more multipliers, damped and from lambda = 0:
-    # lanes that hit max_iter run beside lanes that converge, lanes leave
-    # out of order, and every row is its single solve's, in lambda order
+    # three batches, where lanes that hit max_iter run beside lanes that
+    # converge, and every row is its single solve's, in lambda order
     problem = {
         **README_PROBLEM,
         "theta": 0.5,
@@ -435,7 +454,7 @@ def test_sweep_lanes_write_the_rows_of_single_solves(tmp_path):
     rows = read_csv(out / "sweep.csv")
     assert len(rows) == count
     for k, row in enumerate(rows):
-        rep = picard_solve(spec.at_lambda(5.0 * k))
+        rep = picard_solve(replace(spec, lam=5.0 * k))
         assert row == {
             "lambda": repr(5.0 * k),
             "iterations": str(rep.iterations),
@@ -651,6 +670,25 @@ def test_a_table_whose_slope_overflows_fails_in_one_line(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: a window span of ") and proc.stderr.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "threshold", "sweep", "verify"])
+def test_an_out_that_cannot_be_created_exits_one(tmp_path, capsys, command):
+    # --out names an existing file: one error line, exit 1, nothing written
+    cfg = write_config(tmp_path, AFFINE_PROBLEM)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    args = [command, "--out", str(taken)]
+    if command != "verify":
+        args += ["--config", cfg]
+    if command == "sweep":
+        args += SWEEP_FLAGS
+    before = sorted(tmp_path.rglob("*"))
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: cannot create output directory \S+: .+\n", captured.err)
+    assert sorted(tmp_path.rglob("*")) == before and taken.read_text() == "kept\n"
 
 
 # -- verify ----------------------------------------------------------------

@@ -181,9 +181,9 @@ def test_sup_bound_value():
 def test_bounds_follow_lambda_and_stay_out_of_equality():
     spec = canonical_spec(1.0)
     assert spec.bounds == Bounds.of(0.25, 1.0, 1.0, 2.0, 1.0)
-    for other in (replace(spec, lam=0.3), spec.at_lambda(0.3)):
-        assert other.bounds == Bounds.of(0.25, 1.0, 1.0, 2.0, 1.0, lam=0.3)
-        assert other.bounds.lambda_star == spec.bounds.lambda_star
+    other = replace(spec, lam=0.3)
+    assert other.bounds == Bounds.of(0.25, 1.0, 1.0, 2.0, 1.0, lam=0.3)
+    assert other.bounds.lambda_star == spec.bounds.lambda_star
     # derived from the fields, so it takes no part in equality or hashing
     assert canonical_spec(1.0) == spec and hash(canonical_spec(1.0)) == hash(spec)
     with pytest.raises(TypeError):
@@ -419,23 +419,23 @@ def test_picard_custom_start_and_grid_check():
         picard_solve(spec, GridFunction.zeros(other.grid))
 
 
-def test_sweep_lanes_leave_as_they_finish_with_the_lone_reports():
-    # a lane that hits max_iter first, then lambda = 0, which converges at
-    # once from zero: lanes leave out of order and refill, and each report,
-    # from a custom start too, is the one its lone solve gives
+def test_sweep_batches_yield_the_lone_reports_in_order():
+    # the first batch is unbalanced: a lane that hits max_iter, then
+    # lambda = 0, which converges at once from zero; the batches after it
+    # run descending multipliers.  Every report, from a custom start too,
+    # is the one its lone solve gives, in the order asked
     spec = canonical_spec(0.05, h_max=1.0 / 512, theta=0.5, max_iter=45)
     width = solver.LANE_BYTES // (8 * len(spec.grid))
-    lams = [40.0, 0.0] + [0.02 * k for k in range(1, width + 2)]
+    lams = [40.0, 0.0] + [0.01 * k for k in range(2 * width + 3, 0, -1)]
+    assert len(lams) == 2 * width + 5
     for u0 in (None, GridFunction.sample(spec.grid, lambda t: t)):
-        order = []
-        for k, report in picard_sweep(spec, lams, u0):
-            order.append(k)
-            lone = picard_solve(spec.at_lambda(lams[k]), u0)
+        reports = list(picard_sweep(spec, lams, u0))
+        assert len(reports) == len(lams)
+        for lam, report in zip(lams, reports):
+            lone = picard_solve(replace(spec, lam=lam), u0)
             assert report.to_json() == lone.to_json()
             assert report.solution.values.tobytes() == lone.solution.values.tobytes()
-            assert report.converged == (k != 0)
-        assert sorted(order) == list(range(len(lams)))
-        assert order[0] == 1 or u0 is not None
+            assert report.converged == (lam != 40.0)
     assert list(picard_sweep(spec, [])) == []
 
 
@@ -504,7 +504,7 @@ def test_residual_check_fails_past_the_threshold():
         model=ClampedAffine(base=1.0, slope=1.0, lo=1.0, hi=2.0),
         h_max=0.01,
     )
-    spec = base.at_lambda(2.0 * base.bounds.lambda_star)
+    spec = replace(base, lam=2.0 * base.bounds.lambda_star)
     report = picard_solve(spec)
     assert report.converged and report.q == pytest.approx(2.0)
     diag = existence_diagnostics(spec, report)
@@ -513,6 +513,20 @@ def test_residual_check_fails_past_the_threshold():
     assert res.to_json()["bound"] == "inf" and res.to_json()["passed"] is False
     assert [c.passed for c in diag.checks[:2]] == [True, True]
     assert not diag.passed and diag.to_json()["passed"] is False
+
+
+def test_diagnostics_of_a_sweep_report_build_no_second_grid():
+    # the nodes come from the report's own grid, so checking a sweep's
+    # report against a spec at its multiplier leaves that spec's grid unbuilt
+    spec = canonical_spec(0.05, h_max=1.0 / 256)
+    lams = [0.5 * spec.bounds.lambda_star, 0.9 * spec.bounds.lambda_star]
+    for lam, report in zip(lams, picard_sweep(spec, lams)):
+        at_lam = replace(spec, lam=lam)
+        diag = existence_diagnostics(at_lam, report)
+        assert "grid" not in at_lam.__dict__
+        own = replace(spec, lam=lam)
+        assert diag.to_json() == existence_diagnostics(own, picard_solve(own)).to_json()
+        assert diag.passed
 
 
 def _diagnostics_by_pair_loop(spec, report):
@@ -541,7 +555,7 @@ def test_vectorised_equicontinuity_matches_pair_loop():
             model=BoundedRational(1.0, float(rng.uniform(1.5, 3.0)), 0.5),
             h_max=float(rng.uniform(0.01, 0.2)),
         )
-        spec = spec.at_lambda(float(rng.uniform(0.1, 0.9)) * spec.bounds.lambda_star)
+        spec = replace(spec, lam=float(rng.uniform(0.1, 0.9)) * spec.bounds.lambda_star)
         report = picard_solve(spec)
         # also a ramp from t0 that the modulus bounds over every short step
         # but not over the whole window, so the pairs with t0 decide
@@ -566,7 +580,7 @@ def test_diagnostics_hold_a_few_arrays_per_node():
         model=BoundedRational(1.0, 2.0, 0.5),
         h_max=5e-6,
     )
-    spec = spec.at_lambda(0.5 * spec.bounds.lambda_star)
+    spec = replace(spec, lam=0.5 * spec.bounds.lambda_star)
     report = picard_solve(spec)
     n = len(spec.grid.nodes)
     assert n == 200_001
@@ -654,7 +668,7 @@ def test_equicontinuity_modulus_bounds_every_node_pair():
         np.testing.assert_allclose(lib, mod[picks], rtol=1e-14)
         slack = 1e-12 * (1.0 + np.max(np.abs(ku)))
         assert np.all(np.abs(ku[j] - ku[i]) <= mod + slack)
-        spec = spec.at_lambda(0.5 * spec.bounds.lambda_star)
+        spec = replace(spec, lam=0.5 * spec.bounds.lambda_star)
         assert existence_diagnostics(spec, picard_solve(spec)).passed
 
 

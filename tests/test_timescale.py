@@ -326,11 +326,12 @@ def test_gap_after_pins_gaps_near_twice_snap(left, right_end):
 
 
 def test_a_million_scattered_points_and_their_grid_stay_small():
-    # one (k, 2) array for the scale, and a grid build that lays its nodes
-    # down in place and frees its layout arrays before the grid copies the
-    # nodes: 1.2e6 points hold 28.6 MiB and peak at 79.0 MiB, in the grid's
-    # endpoint check.  Tuples beside the array held 130.2 and peaked at
-    # 235.5; a layout of gathered n-length temporaries peaked at 91.6
+    # one (k, 2) array for the scale, a grid build that lays its nodes down
+    # in place and frees its layout arrays before the grid copies the nodes,
+    # and an endpoint check one column of ends at a time: 1.2e6 points hold
+    # 29.7 MiB and peak at 68.6 MiB.  Checking both columns at once peaked
+    # at 80.0; tuples beside the array held 130.2 and peaked at 235.5; a
+    # layout of gathered n-length temporaries peaked at 91.6
     points = np.cumsum(np.random.default_rng(7).uniform(0.2, 1.5, 1_200_000))
     tracemalloc.start()
     try:
@@ -340,7 +341,7 @@ def test_a_million_scattered_points_and_their_grid_stay_small():
         tracemalloc.stop()
     assert len(grid) == 1_200_000 and grid.gap_after.all()
     assert held <= 32 * 2**20
-    assert peak <= 95 * 2**20
+    assert peak <= 81 * 2**20
 
 
 def test_grid_rejects_missing_endpoint():
