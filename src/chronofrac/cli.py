@@ -97,7 +97,7 @@ def cmd_solve(args) -> int:
     status = "converged" if report.converged else "did not converge"
     print(
         f"solve: {status} in {report.iterations} iterations, "
-        f"residual {report.residual:.3e}, q {report.q:.6g}"
+        f"residual {report.residual:.3e}, q {report.spec.bounds.q:.6g}"
     )
     if args.strict and not report.converged:
         print("solve: non-convergence is fatal under --strict", file=sys.stderr)
@@ -161,10 +161,10 @@ def _sweep_range(args, config: dict, spec: ProblemSpec) -> tuple[float, float, i
     return lam_min, step, count
 
 
-def _sweep_row(lam: float, rep) -> str:
+def _sweep_row(rep) -> str:
     flag = "true" if rep.converged else "false"
-    sup = rep.solution.norm_inf()
-    return f"{lam!r},{rep.iterations},{rep.residual!r},{rep.q!r},{flag},{sup!r}\n"
+    lam, q, sup = rep.spec.lam, rep.spec.bounds.q, rep.solution.norm_inf()
+    return f"{lam!r},{rep.iterations},{rep.residual!r},{q!r},{flag},{sup!r}\n"
 
 
 def cmd_sweep(args) -> int:
@@ -177,10 +177,9 @@ def cmd_sweep(args) -> int:
     bad = 0
     with open(out / "sweep.csv", "w") as fh:
         fh.write("lambda,iterations,residual,q,converged,sup_norm\n")
-        lams = (lam_min + k * step for k in range(count))
-        for k, rep in enumerate(picard_sweep(spec, lams)):
+        for rep in picard_sweep(spec, (lam_min + k * step for k in range(count))):
             bad += not rep.converged
-            fh.write(_sweep_row(lam_min + k * step, rep))
+            fh.write(_sweep_row(rep))
 
     print(f"sweep: {count} runs, {bad} without convergence")
     if args.strict and bad:

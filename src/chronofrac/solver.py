@@ -27,7 +27,7 @@ import numpy as np
 
 from .conductivity import ConductivityModel, model_from_json
 from .fractional import frac_integral_operator, gamma_fn
-from .timescale import Grid, GridFunction, TimeScale, build_grid, json_number
+from .timescale import SNAP, Grid, GridFunction, TimeScale, build_grid, json_number
 
 __all__ = [
     "ProblemSpec",
@@ -60,7 +60,8 @@ class ProblemSpec:
 
     ``h_max`` defaults to the window length divided by 512.  ``theta`` is
     the damping weight of the Picard update ``(1 - theta) u + theta K(u)``;
-    ``theta = 1`` is the undamped iteration.
+    ``theta = 1`` is the undamped iteration.  Picard stops once
+    ``|K(u) - u| <= tol``, at every ``theta``.
     """
 
     timescale: TimeScale
@@ -133,9 +134,9 @@ def problem_from_json(data: dict) -> ProblemSpec:
         "lam": json_number(need("lambda"), "field 'lambda'"),
         "model": model,
     }
-    for key, attr in (("h_max", "h_max"), ("tol", "tol"), ("theta", "theta")):
-        if key in data and data[key] is not None:
-            kwargs[attr] = json_number(data[key], f"field '{key}'")
+    for key in ("h_max", "tol", "theta"):
+        if data.get(key) is not None:
+            kwargs[key] = json_number(data[key], f"field '{key}'")
     max_iter = data.get("max_iter")
     if max_iter is not None:
         if isinstance(max_iter, float) and max_iter.is_integer():
@@ -218,7 +219,7 @@ def equicontinuity_modulus(spec: ProblemSpec, t1: float, t2: float) -> float:
     ts = spec.timescale
     if t1 > t2:
         raise ValueError("pair must satisfy t1 <= t2")
-    if t1 < ts.t0 - 1e-12 or t2 > ts.T + 1e-12:
+    if t1 < ts.t0 - SNAP or t2 > ts.T + SNAP:
         raise ValueError("pair must lie inside the time scale window")
     return spec.bounds.modulus * (t2 - t1) ** (2.0 * spec.alpha)
 
@@ -267,53 +268,50 @@ def apply_K(spec: ProblemSpec, u: GridFunction) -> GridFunction:
 # -- Picard iteration ------------------------------------------------------
 
 
-def _damped_contraction(theta: float, q: float) -> tuple[float, float]:
-    """Contraction constant ``q_theta = 1 - theta + theta * q`` of the damped
-    update ``(1 - theta) u + theta K(u)``, and its gap ``1 - q_theta``.
-
-    The gap is formed as ``theta * (1 - q)``, so a small ``theta`` cannot
-    round it to zero.
-    """
-    return 1.0 - theta + theta * q, theta * (1.0 - q)
+def _contraction(spec: ProblemSpec, eps: float) -> tuple[float, float, float] | None:
+    """``None`` unless ``q < 1``, when the damped update contracts with
+    ``q_theta = 1 - theta + theta q``: then ``q_theta``, the gap ``theta (1 - q)``,
+    which a small ``theta`` cannot round to zero, and ``eps * sup``, how far a
+    kernel error ``eps`` moves ``K(u)``."""
+    q, theta = spec.bounds.q, spec.theta
+    if q < 1.0:
+        return 1.0 - theta + theta * q, theta * (1.0 - q), eps * spec.bounds.sup
+    return None
 
 
 @dataclass(frozen=True)
 class SolveReport:
     """Everything produced by one Picard run.
 
-    ``trace[k]`` is the sup-norm update size at iteration ``k + 1``;
-    ``q`` is the Lipschitz constant of the solution operator, and
-    ``apriori_bound`` the error bound
-    ``(q_theta * trace[-1] + eps * sup_bound) / (1 - q_theta)`` of the damped
-    update against the fixed point of the exact-kernel operator, present
-    only when ``q < 1``.  ``operator`` is the kernel operator's
-    ``to_json()``; its ``eps`` is the relative kernel error of the far
-    field, which moves ``K(u)`` by at most ``eps * sup_bound``.
-    The solution itself is not serialised: ``solution.csv`` holds it.
+    ``spec`` is the problem solved, at its own ``lam``.  ``trace[k]`` is the
+    sup-norm update size at iteration ``k + 1``, and ``apriori_bound`` the
+    error bound ``(q_theta * trace[-1] + eps * sup) / (1 - q_theta)`` against
+    the fixed point of the exact-kernel operator, present only when ``q < 1``.
+    ``operator`` is the kernel operator's ``to_json()``, with ``eps`` its far
+    field's kernel error.  ``solution.csv``, not ``to_json``, holds the solution.
     """
 
+    spec: ProblemSpec
     solution: GridFunction
     iterations: int
     converged: bool
     trace: tuple[float, ...]
-    q: float
-    lambda_star: float
     residual: float
     apriori_bound: float | None
-    sup_bound: float
     positive: bool
-    operator: dict = field(default_factory=dict)
+    operator: dict
 
     def to_json(self) -> dict:
+        b = self.spec.bounds
         return {
             "iterations": self.iterations,
             "converged": self.converged,
             "trace": list(self.trace),
-            "q": self.q,
-            "lambda_star": self.lambda_star if math.isfinite(self.lambda_star) else "inf",
+            "q": b.q,
+            "lambda_star": b.lambda_star if math.isfinite(b.lambda_star) else "inf",
             "residual": self.residual,
             "apriori_bound": self.apriori_bound,
-            "sup_bound": self.sup_bound,
+            "sup_bound": b.sup,
             "positive": self.positive,
             "operator": self.operator,
         }
@@ -322,8 +320,8 @@ class SolveReport:
 def picard_solve(spec: ProblemSpec, u0: GridFunction | None = None) -> SolveReport:
     """Iterate the damped solution operator to a fixed point.
 
-    Starts from ``u0`` (default: identically zero) and stops when the
-    sup-norm update drops to ``tol`` or ``max_iter`` is exhausted; the
+    Starts from ``u0`` (default: identically zero) and stops when
+    ``|K(u) - u|`` drops to ``tol`` or ``max_iter`` is exhausted; the
     latter is reported through ``converged``, not raised.  The residual
     is measured by one extra operator application after the loop.  The
     one-lane case of ``picard_sweep``.
@@ -333,14 +331,14 @@ def picard_solve(spec: ProblemSpec, u0: GridFunction | None = None) -> SolveRepo
 
 
 class _Lane:
-    """One multiplier's Picard run in a batch of ``picard_sweep``.
+    """One ``spec``'s Picard run in a batch of ``picard_sweep``.
     ``converged`` is set when the run stops, and ``report`` one apply later.
     A plain class: a dataclass costs each CLI process 0.5 ms to create."""
 
-    __slots__ = ("lam", "bounds", "trace", "converged", "report")
+    __slots__ = ("spec", "trace", "converged", "report")
 
-    def __init__(self, lam: float, bounds: Bounds):
-        self.lam, self.bounds = lam, bounds
+    def __init__(self, spec: ProblemSpec):
+        self.spec = spec
         self.trace: list[float] = []
         self.converged: bool | None = None
 
@@ -366,7 +364,7 @@ def picard_sweep(
     width = max(1, LANE_BYTES // (8 * n))
     operator = frac_integral_operator(grid, 2.0 * spec.alpha).to_json()
     lams = iter(lams)
-    while batch := [_Lane(lam, replace(spec, lam=lam).bounds) for lam in islice(lams, width)]:
+    while batch := [_Lane(replace(spec, lam=lam)) for lam in islice(lams, width)]:
         yield from _run_batch(spec, batch, start, operator)
 
 
@@ -374,9 +372,10 @@ def _run_batch(spec: ProblemSpec, batch: list[_Lane], start: np.ndarray, operato
     """The reports of ``batch``, its lanes run from ``start``.  A frame of
     its own, so the batch's arrays are freed before the next batch's."""
     theta, lanes = spec.theta, batch
+    stop = spec.tol * theta  # the damped step is theta |K(u) - u|
     u = np.tile(start, (len(lanes), 1))
     while lanes:
-        ku = _apply_k_lanes(spec, u, np.array([lane.lam for lane in lanes]))
+        ku = _apply_k_lanes(spec, u, np.array([lane.spec.lam for lane in lanes]))
         nxt = ku if theta == 1.0 else (1.0 - theta) * u + theta * ku
         steps = np.max(np.abs(nxt - u), axis=1).tolist()
         rows = []
@@ -385,7 +384,7 @@ def _run_batch(spec: ProblemSpec, batch: list[_Lane], start: np.ndarray, operato
                 lane.report = _report(spec, lane, u[i], ku[i], operator)
                 continue
             lane.trace.append(steps[i])
-            if steps[i] <= spec.tol:
+            if steps[i] <= stop:
                 lane.converged = True
             elif len(lane.trace) == spec.max_iter:
                 lane.converged = False
@@ -396,20 +395,20 @@ def _run_batch(spec: ProblemSpec, batch: list[_Lane], start: np.ndarray, operato
 
 
 def _report(spec: ProblemSpec, lane: _Lane, u: np.ndarray, ku: np.ndarray, operator: dict):
-    """The report of a lane that leaves the loop at ``u``, with image ``ku``."""
-    q, sup = lane.bounds.q, lane.bounds.sup
-    q_theta, gap = _damped_contraction(spec.theta, q)
-    apriori = (q_theta * lane.trace[-1] + operator["eps"] * sup) / gap if q < 1.0 else None
+    """The report of a lane that leaves the loop at ``u``, with image ``ku``,
+    on ``spec``'s grid: the lane's own spec builds none."""
+    apriori = None
+    if contraction := _contraction(lane.spec, operator["eps"]):
+        q_theta, gap, kernel = contraction
+        apriori = (q_theta * lane.trace[-1] + kernel) / gap
     return SolveReport(
+        spec=lane.spec,
         solution=GridFunction(spec.grid, u),
         iterations=len(lane.trace),
         converged=lane.converged,
         trace=tuple(lane.trace),
-        q=q,
-        lambda_star=lane.bounds.lambda_star,
         residual=float(np.max(np.abs(ku - u))),
         apriori_bound=apriori,
-        sup_bound=sup,
         positive=bool(np.all(u >= 0.0)),
         operator=dict(operator),
     )
@@ -459,12 +458,13 @@ class ExistenceDiagnostics:
 
 
 def existence_diagnostics(spec: ProblemSpec, report: SolveReport) -> ExistenceDiagnostics:
-    """Check a computed solution against the a priori bounds.
+    """Check a computed solution against the a priori bounds of its own
+    problem; ``ValueError`` unless ``spec == report.spec``.
 
-    Three checks: the sup norm against ``sup_bound``, the increments over
+    Three checks: the sup norm against ``sup``, the increments over
     every adjacent node pair and every pair ``(t0, t_j)`` with the first
     node against the equicontinuity modulus, and the residual against the
-    fixed-point bound ``(tol * (1 + q_theta) + eps * sup_bound) / (1 - q_theta)``
+    fixed-point bound ``(tol theta (1 + q_theta) + eps * sup) / (1 - q_theta)``
     of the damped update, with ``eps`` the report's kernel error.  When
     ``q >= 1`` no contraction bounds the residual: its bound is ``inf`` and
     the check fails.
@@ -472,18 +472,20 @@ def existence_diagnostics(spec: ProblemSpec, report: SolveReport) -> ExistenceDi
     only up to the residual, so both checks carry that slack plus a
     rounding allowance.
     """
+    if spec != report.spec:
+        raise ValueError("the spec is not the one the report solved")
+    spec = report.spec
     u = report.solution.values
     nodes = report.solution.grid.nodes
-    eps = 1e-12 * (1.0 + float(np.max(np.abs(u))))
-
     obs_sup = float(np.max(np.abs(u)))
-    bnd_sup = report.sup_bound + report.residual + eps
+    allowance = 1e-12 * (1.0 + obs_sup)
+    bnd_sup = spec.bounds.sup + report.residual + allowance
     sup_check = DiagnosticCheck(
         name="sup_norm", passed=obs_sup <= bnd_sup, observed=obs_sup, bound=bnd_sup
     )
 
     scale, power = spec.bounds.modulus, 2.0 * spec.alpha
-    slack = 2.0 * report.residual + eps
+    slack = 2.0 * report.residual + allowance
     # pairs with t0 join the adjacent ones because K(u)(t0) = 0 and K(u)
     # grows like the modulus itself; each family is one in-place pass over
     # two arrays of n - 1 entries, which keeps the check O(n) in memory
@@ -495,15 +497,13 @@ def existence_diagnostics(spec: ProblemSpec, report: SolveReport) -> ExistenceDi
         name="equicontinuity", passed=bool(worst <= slack), observed=worst, bound=slack
     )
 
-    if report.q < 1.0:
-        q_theta, gap = _damped_contraction(spec.theta, report.q)
-        kernel = report.operator.get("eps", 0.0) * report.sup_bound
-        bnd_res = (spec.tol * (1.0 + q_theta) + kernel) / gap + eps
-    else:
-        bnd_res = math.inf
+    bnd_res = math.inf
+    if contraction := _contraction(spec, report.operator["eps"]):
+        q_theta, gap, kernel = contraction
+        bnd_res = (spec.tol * spec.theta * (1.0 + q_theta) + kernel) / gap + allowance
     res_check = DiagnosticCheck(
         name="residual",
-        passed=report.q < 1.0 and report.residual <= bnd_res,
+        passed=contraction is not None and report.residual <= bnd_res,
         observed=report.residual,
         bound=bnd_res,
     )

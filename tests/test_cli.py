@@ -233,6 +233,15 @@ def test_solve_strict_flags_non_convergence(tmp_path, capsys):
     assert report["converged"] is False
 
 
+def test_strict_solve_exits_three_when_damping_stalls(tmp_path, capsys):
+    # at theta = 1e-9 each damped step moves u by 1e-9 |K(u) - u|: that
+    # step passed tol at once, and the run reported convergence at
+    # max u = 1.4e-11; stopping on |K(u) - u| itself leaves it unconverged
+    cfg = write_config(tmp_path, {**README_PROBLEM, "h_max": 0.01, "theta": 1e-9})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out"), "--strict"]) == 3
+    assert "did not converge in 200 iterations" in capsys.readouterr().out
+
+
 # -- threshold -------------------------------------------------------------
 
 
@@ -420,7 +429,7 @@ def test_sweep_rows_match_single_solves(tmp_path):
             "lambda": repr(lam),
             "iterations": str(rep.iterations),
             "residual": repr(rep.residual),
-            "q": repr(rep.q),
+            "q": repr(rep.spec.bounds.q),
             "converged": "true" if rep.converged else "false",
             "sup_norm": repr(rep.solution.norm_inf()),
         }
@@ -459,7 +468,7 @@ def test_sweep_lanes_write_the_rows_of_single_solves(tmp_path):
             "lambda": repr(5.0 * k),
             "iterations": str(rep.iterations),
             "residual": repr(rep.residual),
-            "q": repr(rep.q),
+            "q": repr(rep.spec.bounds.q),
             "converged": "true" if rep.converged else "false",
             "sup_norm": repr(rep.solution.norm_inf()),
         }
@@ -585,12 +594,15 @@ def test_grid_over_node_cap_exits_one(tmp_path, capsys, command):
 def test_write_report_streams_its_files(tmp_path):
     # a report of 1e5 nodes: writing it holds no list of row strings and
     # no whole-file string beside the solution
+    from chronofrac import Constant, ProblemSpec
     from chronofrac.cli import _write_report
     from chronofrac.timescale import GridFunction, TimeScale, build_grid
 
-    grid = build_grid(TimeScale.interval(0.0, 1.0), 1e-5)
+    ts = TimeScale.interval(0.0, 1.0)
+    grid = build_grid(ts, 1e-5)
     u = GridFunction.from_array(grid, np.sin(grid.nodes) / 3.0)
-    report = solver.SolveReport(u, 3, True, (0.5, 1e-6, 1e-12), 0.4, 2.0, 1e-12, 1e-11, 1.0, True)
+    spec = ProblemSpec(ts, 0.25, 0.4, Constant(2.0), h_max=1e-5)
+    report = solver.SolveReport(spec, u, 3, True, (0.5, 1e-6, 1e-12), 1e-12, 1e-11, True, {})
     tracemalloc.start()
     try:
         _write_report(tmp_path, report)

@@ -48,6 +48,18 @@ def canonical_spec(lam: float, **kw) -> ProblemSpec:
     )
 
 
+def readme_spec(**kw) -> ProblemSpec:
+    """The README's problem: interval, isolated point, interval, at h = 0.01."""
+    return ProblemSpec(
+        timescale=TimeScale(((0.0, 1.0), (1.5, 1.5), (2.0, 2.5))),
+        alpha=0.25,
+        lam=0.05,
+        model=ClampedAffine(base=1.0, slope=1.0, lo=1.0, hi=2.0),
+        h_max=0.01,
+        **kw,
+    )
+
+
 # -- problem validation ----------------------------------------------------
 
 
@@ -355,9 +367,9 @@ def test_picard_trace_contracts_at_rate_q():
     spec = canonical_spec(lam, h_max=1.0 / 128)
     report = picard_solve(spec)
     assert report.converged
-    assert abs(report.q - 0.5) <= 1e-12
+    assert abs(report.spec.bounds.q - 0.5) <= 1e-12
     ratios = [b / a for a, b in zip(report.trace, report.trace[1:]) if a > 0]
-    assert max(ratios) <= report.q + 0.05
+    assert max(ratios) <= report.spec.bounds.q + 0.05
     assert report.apriori_bound is not None
     assert report.apriori_bound <= spec.tol * (1.0 + 1e-6)
     assert report.residual <= 2.0 * spec.tol
@@ -401,11 +413,25 @@ def test_damped_picard_certificates_hold(theta):
         report = picard_solve(spec)
         reference = picard_solve(replace(spec, theta=1.0, tol=1e-15))
         assert report.converged and reference.converged
-        assert report.q == spec.bounds.q
+        assert report.spec.bounds.q == spec.bounds.q
         err = float(np.max(np.abs(report.solution.values - reference.solution.values)))
         assert err <= report.apriori_bound + reference.apriori_bound
         checks = {c.name: c for c in existence_diagnostics(spec, report).checks}
         assert checks["residual"].passed
+
+
+@pytest.mark.parametrize("theta,max_iter", [(0.5, 200), (0.1, 2000), (1e-3, 20000), (1e-9, 200)])
+def test_damped_picard_stops_on_the_residual(theta, max_iter):
+    # the damped step is theta |K(u) - u|, so stopping once it is below tol
+    # held the residual only to tol / theta: at theta = 1e-9 the first step
+    # from zero passed, at max u = 1.4e-11 against the fixed point's 0.0136
+    spec = readme_spec(theta=theta, max_iter=max_iter)
+    report = picard_solve(spec)
+    q = spec.bounds.q
+    assert report.converged == (theta >= 1e-3)
+    if report.converged:
+        assert report.residual <= spec.tol * (1.0 + q) / (1.0 - q)
+        assert existence_diagnostics(spec, report).passed
 
 
 def test_picard_custom_start_and_grid_check():
@@ -439,6 +465,15 @@ def test_sweep_batches_yield_the_lone_reports_in_order():
     assert list(picard_sweep(spec, [])) == []
 
 
+def test_sweep_reports_carry_the_lambda_asked_in_order():
+    spec = canonical_spec(0.05, h_max=1.0 / 512)
+    width = solver.LANE_BYTES // (8 * len(spec.grid))
+    lams = [0.01 * k for k in range(2 * width + 3, 0, -1)] + [0.0]
+    reports = list(picard_sweep(spec, lams))
+    assert [r.spec.lam for r in reports] == lams
+    assert all(r.spec == replace(spec, lam=lam) for lam, r in zip(lams, reports))
+
+
 def test_solve_report_serializes(tmp_path):
     spec = canonical_spec(0.05, h_max=1.0 / 64)
     report = picard_solve(spec)
@@ -461,6 +496,28 @@ def test_solve_report_serializes(tmp_path):
         )
     )
     assert json.loads(json.dumps(flat.to_json()))["lambda_star"] == "inf"
+
+
+def test_report_json_reads_the_bounds_of_its_spec():
+    report = picard_solve(canonical_spec(0.05, h_max=1.0 / 64))
+    data = report.to_json()
+    assert list(data) == [
+        "iterations", "converged", "trace", "q", "lambda_star", "residual",
+        "apriori_bound", "sup_bound", "positive", "operator",
+    ]
+    b = report.spec.bounds
+    assert (data["q"], data["lambda_star"], data["sup_bound"]) == (b.q, b.lambda_star, b.sup)
+
+
+def test_a_report_spec_builds_no_grid(tmp_path):
+    # the report's spec is the lane's, a copy at its own multiplier: the
+    # solution, the diagnostics and the writer use the grid solved on
+    spec = canonical_spec(0.05, h_max=1.0 / 64)
+    report = picard_solve(spec)
+    assert report.spec == spec
+    assert existence_diagnostics(spec, report).passed
+    _write_report(tmp_path, report)
+    assert "grid" not in report.spec.__dict__
 
 
 # -- diagnostics -----------------------------------------------------------
@@ -506,7 +563,7 @@ def test_residual_check_fails_past_the_threshold():
     )
     spec = replace(base, lam=2.0 * base.bounds.lambda_star)
     report = picard_solve(spec)
-    assert report.converged and report.q == pytest.approx(2.0)
+    assert report.converged and report.spec.bounds.q == pytest.approx(2.0)
     diag = existence_diagnostics(spec, report)
     res = diag.checks[2]
     assert res.name == "residual" and not res.passed and res.bound == math.inf
@@ -527,6 +584,33 @@ def test_diagnostics_of_a_sweep_report_build_no_second_grid():
         own = replace(spec, lam=lam)
         assert diag.to_json() == existence_diagnostics(own, picard_solve(own)).to_json()
         assert diag.passed
+
+
+@pytest.mark.parametrize(
+    "change,failing",
+    [
+        ({"lam": 5.0}, "equicontinuity"),
+        ({"alpha": 0.3}, "equicontinuity"),
+        ({"theta": 0.5}, "residual"),
+        ({"tol": 1e-2}, "residual"),
+    ],
+)
+def test_diagnostics_refuse_a_foreign_spec(change, failing):
+    # each report fails one check at its own spec; checked against a spec
+    # at 100 lambda, a spiked solution passed the equicontinuity check, and
+    # against tol = 1e-2 an unconverged residual of 7.5e-9 passed a check
+    # whose bound at the report's own tol is 1.3e-10
+    spec = readme_spec(max_iter=3)
+    report = picard_solve(spec)
+    assert not report.converged and 1e-9 < report.residual < 1e-8
+    if failing == "equicontinuity":
+        u = report.solution.values.copy()
+        u[len(u) // 2] += 0.01
+        report = replace(report, solution=GridFunction(report.solution.grid, u), residual=0.0)
+    checks = {c.name: c.passed for c in existence_diagnostics(spec, report).checks}
+    assert [name for name, passed in checks.items() if not passed] == [failing]
+    with pytest.raises(ValueError, match="not the one the report solved"):
+        existence_diagnostics(replace(spec, **change), report)
 
 
 def _diagnostics_by_pair_loop(spec, report):
@@ -707,8 +791,8 @@ def test_bounds_carry_the_kernel_error_of_the_far_field():
     report = picard_solve(spec)
     eps = report.operator["eps"]
     assert report.operator["row_blocks"] == -(-400 // ROW_BLOCK) and 0.0 < eps < 1e-14
-    assert report.q == 0.0 and report.trace[-1] == 0.0
-    assert report.apriori_bound == eps * report.sup_bound > 0.0
+    assert report.spec.bounds.q == 0.0 and report.trace[-1] == 0.0
+    assert report.apriori_bound == eps * report.spec.bounds.sup > 0.0
     grid = spec.grid
     n = len(grid)
     fv = np.full(n, 2.0)
@@ -718,4 +802,4 @@ def test_bounds_carry_the_kernel_error_of_the_far_field():
     u = report.solution.values
     res = {c.name: c for c in existence_diagnostics(spec, report).checks}["residual"]
     assert res.passed
-    assert res.bound == spec.tol + eps * report.sup_bound + 1e-12 * (1.0 + np.max(np.abs(u)))
+    assert res.bound == spec.tol + eps * report.spec.bounds.sup + 1e-12 * (1.0 + np.max(np.abs(u)))
