@@ -456,22 +456,14 @@ def test_sweep_batches_yield_the_lone_reports_in_order():
     assert len(lams) == 2 * width + 5
     for u0 in (None, GridFunction.sample(spec.grid, lambda t: t)):
         reports = list(picard_sweep(spec, lams, u0))
-        assert len(reports) == len(lams)
+        assert [report.spec.lam for report in reports] == lams
         for lam, report in zip(lams, reports):
             lone = picard_solve(replace(spec, lam=lam), u0)
+            assert report.spec == lone.spec == replace(spec, lam=lam)
             assert report.to_json() == lone.to_json()
             assert report.solution.values.tobytes() == lone.solution.values.tobytes()
             assert report.converged == (lam != 40.0)
     assert list(picard_sweep(spec, [])) == []
-
-
-def test_sweep_reports_carry_the_lambda_asked_in_order():
-    spec = canonical_spec(0.05, h_max=1.0 / 512)
-    width = solver.LANE_BYTES // (8 * len(spec.grid))
-    lams = [0.01 * k for k in range(2 * width + 3, 0, -1)] + [0.0]
-    reports = list(picard_sweep(spec, lams))
-    assert [r.spec.lam for r in reports] == lams
-    assert all(r.spec == replace(spec, lam=lam) for lam, r in zip(lams, reports))
 
 
 def test_solve_report_serializes(tmp_path):
@@ -479,11 +471,19 @@ def test_solve_report_serializes(tmp_path):
     report = picard_solve(spec)
     blob = json.dumps(report.to_json())
     data = json.loads(blob)
+    assert list(data) == [
+        "iterations", "converged", "trace", "q", "lambda_star", "residual",
+        "apriori_bound", "sup_bound", "positive", "operator",
+    ]
     assert data["converged"] is True
     assert data["positive"] is True
-    # the solution goes to solution.csv alone, one row per node
-    assert "solution" not in data
+    b = report.spec.bounds
+    assert (data["q"], data["lambda_star"], data["sup_bound"]) == (b.q, b.lambda_star, b.sup)
+    # the report's spec is the lane's copy at its own multiplier: the
+    # diagnostics and the writer use the grid solved on, and build none
+    assert report.spec == spec and existence_diagnostics(spec, report).passed
     _write_report(tmp_path, report)
+    assert "grid" not in report.spec.__dict__
     rows = (tmp_path / "solution.csv").read_text().splitlines()[1:]
     assert len(rows) == len(spec.grid) == len(report.solution.values)
     assert data["operator"] == frac_integral_operator(spec.grid, 0.5).to_json()
@@ -496,28 +496,6 @@ def test_solve_report_serializes(tmp_path):
         )
     )
     assert json.loads(json.dumps(flat.to_json()))["lambda_star"] == "inf"
-
-
-def test_report_json_reads_the_bounds_of_its_spec():
-    report = picard_solve(canonical_spec(0.05, h_max=1.0 / 64))
-    data = report.to_json()
-    assert list(data) == [
-        "iterations", "converged", "trace", "q", "lambda_star", "residual",
-        "apriori_bound", "sup_bound", "positive", "operator",
-    ]
-    b = report.spec.bounds
-    assert (data["q"], data["lambda_star"], data["sup_bound"]) == (b.q, b.lambda_star, b.sup)
-
-
-def test_a_report_spec_builds_no_grid(tmp_path):
-    # the report's spec is the lane's, a copy at its own multiplier: the
-    # solution, the diagnostics and the writer use the grid solved on
-    spec = canonical_spec(0.05, h_max=1.0 / 64)
-    report = picard_solve(spec)
-    assert report.spec == spec
-    assert existence_diagnostics(spec, report).passed
-    _write_report(tmp_path, report)
-    assert "grid" not in report.spec.__dict__
 
 
 # -- diagnostics -----------------------------------------------------------
