@@ -43,13 +43,20 @@ class ConductivityModel:
         """Certified ``(c1, c2, L)``: bounds and Lipschitz constant."""
         raise NotImplementedError
 
-    def _eval(self, u: np.ndarray) -> np.ndarray:
+    def _eval(self, u: np.ndarray) -> None:
+        """Overwrite the clamped samples ``u`` with ``f(u)``."""
         raise NotImplementedError
 
     def apply(self, u) -> np.ndarray:
         """Vectorized evaluation with the nonnegative clamp applied."""
-        arr = np.maximum(np.asarray(u, dtype=float), 0.0)
-        return self._eval(arr)
+        return self._apply_into(u, np.empty(np.shape(u)))
+
+    def _apply_into(self, u, out: np.ndarray) -> np.ndarray:
+        """``apply(u)`` written into ``out``, an array of ``u``'s shape, in
+        place; returns ``out``."""
+        np.maximum(u, 0.0, out=out)
+        self._eval(out)
+        return out
 
     def __call__(self, u: float) -> float:
         return float(self.apply(u))
@@ -79,8 +86,8 @@ class Constant(ConductivityModel):
     def constants(self) -> tuple[float, float, float]:
         return (self.c, self.c, 0.0)
 
-    def _eval(self, u: np.ndarray) -> np.ndarray:
-        return np.full_like(u, float(self.c))
+    def _eval(self, u: np.ndarray) -> None:
+        u.fill(self.c)
 
 
 @dataclass(frozen=True)
@@ -102,8 +109,10 @@ class ClampedAffine(ConductivityModel):
     def constants(self) -> tuple[float, float, float]:
         return (self.lo, self.hi, abs(self.slope))
 
-    def _eval(self, u: np.ndarray) -> np.ndarray:
-        return np.clip(self.base + self.slope * u, self.lo, self.hi)
+    def _eval(self, u: np.ndarray) -> None:
+        u *= self.slope
+        u += self.base
+        np.clip(u, self.lo, self.hi, out=u)
 
 
 @dataclass(frozen=True)
@@ -131,8 +140,11 @@ class BoundedRational(ConductivityModel):
     def constants(self) -> tuple[float, float, float]:
         return (self.c1, self.c2, (self.c2 - self.c1) / self.scale)
 
-    def _eval(self, u: np.ndarray) -> np.ndarray:
-        return self.c1 + (self.c2 - self.c1) / (1.0 + u / self.scale)
+    def _eval(self, u: np.ndarray) -> None:
+        u /= self.scale
+        u += 1.0
+        np.divide(self.c2 - self.c1, u, out=u)
+        u += self.c1
 
 
 @dataclass(frozen=True)
@@ -169,8 +181,8 @@ class Table(ConductivityModel):
             slopes = np.abs(np.diff(self.values) / np.diff(self.breakpoints))
         return (min(self.values), max(self.values), float(slopes.max(initial=0.0)))
 
-    def _eval(self, u: np.ndarray) -> np.ndarray:
-        return np.interp(u, self.breakpoints, self.values)
+    def _eval(self, u: np.ndarray) -> None:
+        u[...] = np.interp(u, self.breakpoints, self.values)
 
 
 _FAMILIES = {cls.family: cls for cls in (Constant, ClampedAffine, BoundedRational, Table)}

@@ -400,31 +400,64 @@ class KernelOperator:
 
         ``g`` is one sample vector of length n, or an (m, n) array of m
         lanes, lanes first.  Row i of the result is lane i's integral,
-        bit-identical to applying the operator to that lane alone.
+        bit-identical to applying the operator to that lane alone.  Each
+        call allocates a workspace for its lanes: the padded samples, the
+        history sums, the decays repeated past one lane and the result.  A
+        Picard batch allocates one and reuses it in every apply.
         """
-        B, n, nb = ROW_BLOCK, self.n, len(self.decay)
-        lanes = np.reshape(g, (-1, n))
-        m = len(lanes)
-        # window k holds a lane at columns [kB - 1, (k + 1) B); the column
-        # before the grid and the rows past it read zero.  The windows are a
-        # strided view of gp, made directly: sliding_window_view spends
-        # more Python time on it than a lane's recurrence step takes
-        gp = np.zeros((m, nb * B + 1))
-        gp[:, 1 : n + 1] = lanes
+        n = self.n
+        if np.shape(g)[-1:] != (n,):
+            raise ValueError(
+                f"the operator on {n} nodes takes {n} samples on the last axis, "
+                f"not an array of shape {np.shape(g)}"
+            )
+        ws = _Workspace(self, np.size(g) // n)
+        ws.window[...] = np.reshape(g, (-1, n))
+        return ws.apply(len(ws.window)).reshape(np.shape(g))
+
+
+class _Workspace:
+    """The buffers of ``KernelOperator.apply`` to up to ``width`` lanes,
+    allocated once and reused by every ``apply``.
+
+    Lane i's samples go in ``window[i]``, columns [1, n + 1) of row i of
+    ``gp``, whose other columns read zero.  ``hist[k]`` holds the N history
+    sums at the node before row block k; ``hist[0]`` stays zero.  ``decay``
+    is the operator's, repeated past one lane so that each step runs over
+    contiguous (m, N) blocks: a broadcast step costs more than the step
+    itself.  Each of the ``images`` results has nb B columns, the first n
+    of them at the nodes.
+    """
+
+    def __init__(self, op: KernelOperator, width: int, images: int = 1):
+        nb = len(op.decay)
+        self.op = op
+        self.gp = np.zeros((width, nb * ROW_BLOCK + 1))
+        self.window = self.gp[:, 1 : op.n + 1]
+        self.hist = np.zeros((nb + 1, width, len(op.rates)))
+        self.decay = op.decay[:, None] if width == 1 else op.decay[:, None].repeat(width, 1)
+        self.images = np.empty((images, width, nb * ROW_BLOCK))
+
+    def apply(self, m: int, k: int = 0) -> np.ndarray:
+        """``W @ g`` for the first ``m`` lanes of ``window``, written into
+        ``images[k]``, as an (m, n) view of it."""
+        op, B, nb = self.op, ROW_BLOCK, len(self.decay)
+        gp, hist = self.gp[:m], self.hist[:, :m]
+        # window k holds a lane at columns [kB - 1, (k + 1) B): a strided view
+        # made directly, since sliding_window_view spends more Python time on
+        # it than a lane's recurrence step takes
         gw = np.ndarray((m, nb, B + 1), float, gp, 0, (gp.strides[0], 8 * B, 8))
-        # the recurrence steps once per block for every lane, over
-        # contiguous (m, N) blocks.  decay takes their shape, repeated past
-        # one lane: a broadcast step costs more than the step itself
-        inc = np.empty((nb, m, len(self.rates)))
-        self._per_block(self.moments, gw, inc.transpose(1, 0, 2))
-        hist = np.zeros_like(inc)
-        decay = self.decay[:, None] if m == 1 else np.repeat(self.decay[:, None], m, axis=1)
-        for d, i, prev, h in zip(decay[1:], inc, hist, hist[1:]):
-            np.multiply(d, prev, out=h)
-            h += i
-        y = self._per_block(self.near, gw, np.empty((m, nb, B)))
-        y += self._per_block(self.expo, hist.transpose(1, 0, 2), np.empty_like(y))
-        return y.reshape(*np.shape(g)[:-1], nb * B)[..., :n]
+        # block k's moments go to hist[k + 1], and each step adds the sums
+        # before block k, carried on by its decay
+        op._per_block(op.moments, gw, hist[1:].transpose(1, 0, 2))
+        for d, prev, h in zip(self.decay[1:, :m], hist, hist[1:]):
+            h += d * prev
+        y = op._per_block(op.near, gw, self.images[k, :m].reshape(m, nb, B))
+        # the far field's part goes into the windows, which are read by now,
+        # and writes over the padding that the next apply reads as zero
+        y += op._per_block(op.expo, hist[:nb].transpose(1, 0, 2), gw[..., 1:])
+        gp[:, op.n + 1 :] = 0.0
+        return self.images[k, :m, : op.n]
 
 
 @lru_cache(maxsize=4)

@@ -26,7 +26,7 @@ from itertools import islice
 import numpy as np
 
 from .conductivity import ConductivityModel, model_from_json
-from .fractional import frac_integral_operator, gamma_fn
+from .fractional import _Workspace, frac_integral_operator, gamma_fn
 from .timescale import SNAP, Grid, GridFunction, TimeScale, build_grid, json_number
 
 __all__ = [
@@ -45,12 +45,15 @@ __all__ = [
 ]
 
 DEFAULT_CELLS = 512
-# bytes of each (lanes, n) buffer of the Picard loop, which holds about ten
-# of them across the loop and its apply: the lane count keeps the loop's
-# memory fixed, as fractional.CHUNK does for _moments.  On the 2504-node
-# sweep-lambda grid (2-core Xeon) it gives 6 lanes: the 24-lambda Picard
-# went from 42 to 23 ms in process, for 0.7 MiB of peak RSS; 8 to 13 lanes
-# were no faster and cost up to 2.3 MiB
+# bytes of each (lanes, n) buffer of the Picard loop.  On the 2504-node
+# sweep-lambda grid a batch's workspace holds about seven of them (padded
+# samples, u and K(u), and two each for the 63 history sums and their
+# decays), and the loop peaks at 9.5 (11.4 before the workspace) with the
+# batch's reports and NumPy's iteration buffers: the lane count keeps the
+# loop's memory fixed, as fractional.CHUNK does for _moments.  On that grid
+# (2-core Xeon) it gives 6 lanes: the 24-lambda Picard went from 42 to
+# 23 ms in process, for 0.7 MiB of peak RSS; 8 to 13 lanes were no faster
+# and cost up to 2.3 MiB
 LANE_BYTES = 2**17
 
 
@@ -242,14 +245,19 @@ def denominator(spec: ProblemSpec, u: GridFunction) -> float:
     return spec.grid.window_integral(spec.model.apply(u.values)) ** 2
 
 
-def _apply_k_lanes(spec: ProblemSpec, u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+def _apply_k_lanes(
+    spec: ProblemSpec, u: np.ndarray, lam: np.ndarray, ws: _Workspace, k: int
+) -> np.ndarray:
     """``K(u)`` for every lane (row) of ``u``, at the lane's multiplier in
-    ``lam``; each row is bit-identical to that lane applied alone."""
-    fv = spec.model.apply(u)
+    ``lam``, in the kernel operator's workspace ``ws``: ``f(u)`` goes into
+    its window, and ``K(u)`` into ``ws.images[k]``, which must not hold
+    ``u``.  Each row is bit-identical to that lane applied alone."""
+    m = len(u)
+    fv = spec.model._apply_into(u, ws.window[:m])
     # squared as Python floats, by libm's pow as a lone lane always was: on
     # random floats pow(x, 2) differs from x * x about once in a thousand
     den = np.array([w**2 for w in spec.grid.window_integral(fv).tolist()])
-    ku = frac_integral_operator(spec.grid, 2.0 * spec.alpha).apply(fv)
+    ku = ws.apply(m, k)
     ku *= lam[:, None]
     ku /= den[:, None]
     return ku
@@ -262,7 +270,9 @@ def apply_K(spec: ProblemSpec, u: GridFunction) -> GridFunction:
     empty window) and is nonnegative whenever ``lam >= 0``.
     """
     _check_grid(spec, u)
-    return GridFunction(spec.grid, _apply_k_lanes(spec, u.values[None], np.array([spec.lam]))[0])
+    ws = _Workspace(frac_integral_operator(spec.grid, 2.0 * spec.alpha), 1)
+    ku = _apply_k_lanes(spec, u.values[None], np.array([spec.lam]), ws, 0)
+    return GridFunction(spec.grid, ku[0])
 
 
 # -- Picard iteration ------------------------------------------------------
@@ -352,7 +362,8 @@ def picard_sweep(
     loop on ``spec``'s grid: as many as ``LANE_BYTES`` allows, each from
     ``u0``.  A lane leaves after one more apply past its last step, which
     gives its residual, and a batch's reports come once its last lane has
-    left.  Each report is the one ``picard_solve`` gives alone, bit for bit.
+    left.  Each report is the one ``picard_solve`` gives alone, bit for bit,
+    and its ``spec`` is ``spec`` at its multiplier on ``spec``'s own grid.
     """
     grid = spec.grid
     n = len(grid.nodes)
@@ -364,39 +375,69 @@ def picard_sweep(
     width = max(1, LANE_BYTES // (8 * n))
     operator = frac_integral_operator(grid, 2.0 * spec.alpha).to_json()
     lams = iter(lams)
-    while batch := [_Lane(replace(spec, lam=lam)) for lam in islice(lams, width)]:
+    while batch := [_Lane(_at(spec, lam)) for lam in islice(lams, width)]:
         yield from _run_batch(spec, batch, start, operator)
+
+
+def _at(spec: ProblemSpec, lam: float) -> ProblemSpec:
+    """``spec`` at the multiplier ``lam``, on ``spec``'s grid: ``spec`` itself
+    when ``lam`` is its own multiplier object, else a copy handed that grid,
+    so that no report's ``spec.grid`` builds a second one.  Identity, not
+    equality: -0.0 equals 0.0, but its sign reaches ``K(u)``."""
+    if lam is spec.lam:
+        return spec
+    at = replace(spec, lam=lam)
+    vars(at)["grid"] = spec.grid  # where the cached property keeps it
+    return at
 
 
 def _run_batch(spec: ProblemSpec, batch: list[_Lane], start: np.ndarray, operator: dict) -> list:
     """The reports of ``batch``, its lanes run from ``start``.  A frame of
     its own, so the batch's arrays are freed before the next batch's."""
-    theta, lanes = spec.theta, batch
+    theta, lanes, n = spec.theta, batch, len(start)
     stop = spec.tol * theta  # the damped step is theta |K(u) - u|
-    u = np.tile(start, (len(lanes), 1))
+    # one workspace for every apply of the batch; u and K(u) alternate
+    # between its two images, so an apply never writes the u still read
+    ws = _Workspace(frac_integral_operator(spec.grid, 2.0 * spec.alpha), len(batch), 2)
+    k = 0
+    ws.images[k, :, :n] = start
     while lanes:
-        ku = _apply_k_lanes(spec, u, np.array([lane.spec.lam for lane in lanes]))
-        nxt = ku if theta == 1.0 else (1.0 - theta) * u + theta * ku
-        steps = np.max(np.abs(nxt - u), axis=1).tolist()
+        m = len(lanes)
+        u = ws.images[k, :m, :n]
+        k = 1 - k
+        ku = _apply_k_lanes(spec, u, np.array([lane.spec.lam for lane in lanes]), ws, k)
         rows = []
         for i, lane in enumerate(lanes):
             if lane.converged is not None:
                 lane.report = _report(spec, lane, u[i], ku[i], operator)
-                continue
+            else:
+                rows.append(i)
+        # the damped update and the steps |nxt - u| go in place: into K(u),
+        # which no lane reads again, and into the window, free after the apply
+        nxt, diff = ku, ws.window[:m]
+        if theta != 1.0:
+            nxt *= theta
+            nxt += np.multiply(u, 1.0 - theta, out=diff)
+        np.abs(np.subtract(nxt, u, out=diff), out=diff)
+        steps = np.max(diff, axis=1).tolist()
+        for i in rows:
+            lane = lanes[i]
             lane.trace.append(steps[i])
             if steps[i] <= stop:
                 lane.converged = True
             elif len(lane.trace) == spec.max_iter:
                 lane.converged = False
-            rows.append(i)
+        # the lanes that stay move up into the leading rows, in order
+        for j, i in enumerate(rows):
+            if i != j:
+                nxt[j] = nxt[i]
         lanes = [lanes[i] for i in rows]
-        u = nxt if len(rows) == len(nxt) else nxt[rows]
     return [lane.report for lane in batch]
 
 
 def _report(spec: ProblemSpec, lane: _Lane, u: np.ndarray, ku: np.ndarray, operator: dict):
     """The report of a lane that leaves the loop at ``u``, with image ``ku``,
-    on ``spec``'s grid: the lane's own spec builds none."""
+    on ``spec``'s grid."""
     apriori = None
     if contraction := _contraction(lane.spec, operator["eps"]):
         q_theta, gap, kernel = contraction

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -518,6 +519,20 @@ def test_lanes_apply_bit_for_bit_as_lone_lanes():
             for row, lane in zip(y, lanes):
                 assert row.tobytes() == op.apply(lane).tobytes()
     assert shared and unshared
+
+
+@pytest.mark.parametrize(
+    "shape", [lambda n: (2 * n,), lambda n: (n + 1,), lambda n: (3, n + 1)],
+    ids=["2n", "n+1", "3,n+1"],
+)
+def test_apply_refuses_samples_not_on_its_nodes(shape):
+    # a 202-long vector on 101 nodes once failed deep inside NumPy, with
+    # "cannot reshape array of size 256 into shape (128,)"
+    op = KernelOperator(build_grid(TimeScale.interval(0.0, 1.0), 0.01), 0.5)
+    g = np.ones(shape(op.n))
+    shown = re.escape(f"not an array of shape {g.shape}")
+    with pytest.raises(ValueError, match=f"on 101 nodes takes 101 samples .* {shown}"):
+        op.apply(g)
 
 
 def test_row_blocks_share_arrays_of_equal_geometry():

@@ -460,10 +460,52 @@ def test_sweep_batches_yield_the_lone_reports_in_order():
         for lam, report in zip(lams, reports):
             lone = picard_solve(replace(spec, lam=lam), u0)
             assert report.spec == lone.spec == replace(spec, lam=lam)
+            assert report.spec.grid is spec.grid
             assert report.to_json() == lone.to_json()
             assert report.solution.values.tobytes() == lone.solution.values.tobytes()
             assert report.converged == (lam != 40.0)
     assert list(picard_sweep(spec, [])) == []
+
+
+def test_a_lane_at_the_spec_multiplier_is_the_spec():
+    # picard_solve's one lane is spec itself; a multiplier that only
+    # compares equal to spec.lam gets its own copy on the same grid, since
+    # the sign of -0.0 reaches K(u) and the solution
+    spec = canonical_spec(0.0, h_max=1.0 / 64)
+    assert picard_solve(spec).spec is spec
+    (report,) = picard_sweep(spec, [-0.0])
+    lone = picard_solve(replace(spec, lam=-0.0))
+    assert math.copysign(1.0, report.spec.lam) == -1.0
+    assert report.spec.grid is spec.grid
+    assert report.solution.values.tobytes() == lone.solution.values.tobytes()
+    assert np.signbit(report.solution.values).all()
+
+
+def test_sweep_batch_applies_in_one_workspace():
+    # 24 multipliers in 6 lanes of 2504 nodes, every report kept: the peak
+    # was 14.5 (lanes, n) buffers while each apply allocated its sums, the
+    # repeated decays, f(u) and its images afresh, and is 12.5 with one
+    # workspace for the batch (NumPy 2.4.6)
+    spec = ProblemSpec(
+        timescale=TimeScale(((0.0, 1.0), (1.5, 1.5), (2.0, 2.5))),
+        alpha=0.25,
+        lam=0.0,
+        model=BoundedRational(c1=1.0, c2=2.5, scale=0.5),
+        h_max=6e-4,
+    )
+    n = len(spec.grid)
+    width = solver.LANE_BYTES // (8 * n)
+    assert (n, width) == (2504, 6)
+    lams = [0.95 * spec.bounds.lambda_star * k / 23 for k in range(24)]
+    list(picard_sweep(spec, lams[:1]))  # builds the operator
+    tracemalloc.start()
+    try:
+        reports = list(picard_sweep(spec, lams))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(report.converged for report in reports)
+    assert peak < 13.5 * 8 * width * n
 
 
 def test_solve_report_serializes(tmp_path):
@@ -479,11 +521,11 @@ def test_solve_report_serializes(tmp_path):
     assert data["positive"] is True
     b = report.spec.bounds
     assert (data["q"], data["lambda_star"], data["sup_bound"]) == (b.q, b.lambda_star, b.sup)
-    # the report's spec is the lane's copy at its own multiplier: the
-    # diagnostics and the writer use the grid solved on, and build none
+    # the report's spec is the problem at its own multiplier, on the grid
+    # solved on: the diagnostics and the writer build no second one
     assert report.spec == spec and existence_diagnostics(spec, report).passed
     _write_report(tmp_path, report)
-    assert "grid" not in report.spec.__dict__
+    assert report.spec.grid is spec.grid
     rows = (tmp_path / "solution.csv").read_text().splitlines()[1:]
     assert len(rows) == len(spec.grid) == len(report.solution.values)
     assert data["operator"] == frac_integral_operator(spec.grid, 0.5).to_json()
