@@ -47,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_json(path: str):
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
@@ -385,7 +385,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, GridTooLarge, OperatorTooLarge) as exc:
+    # an OSError, from a file that cannot be read or written, names the file
+    except (ConfigError, GridTooLarge, OperatorTooLarge, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -425,22 +425,22 @@ class _Workspace:
     sums at the node before row block k; ``hist[0]`` stays zero.  ``decay``
     is the operator's, repeated past one lane so that each step runs over
     contiguous (m, N) blocks: a broadcast step costs more than the step
-    itself.  Each of the ``images`` results has nb B columns, the first n
-    of them at the nodes.
+    itself.  The result, ``image``, has nb B columns a lane, the first n of
+    them at the nodes; each ``apply`` writes over it.
     """
 
-    def __init__(self, op: KernelOperator, width: int, images: int = 1):
+    def __init__(self, op: KernelOperator, width: int):
         nb = len(op.decay)
         self.op = op
         self.gp = np.zeros((width, nb * ROW_BLOCK + 1))
         self.window = self.gp[:, 1 : op.n + 1]
         self.hist = np.zeros((nb + 1, width, len(op.rates)))
         self.decay = op.decay[:, None] if width == 1 else op.decay[:, None].repeat(width, 1)
-        self.images = np.empty((images, width, nb * ROW_BLOCK))
+        self.image = np.empty((width, nb * ROW_BLOCK))
 
-    def apply(self, m: int, k: int = 0) -> np.ndarray:
+    def apply(self, m: int) -> np.ndarray:
         """``W @ g`` for the first ``m`` lanes of ``window``, written into
-        ``images[k]``, as an (m, n) view of it."""
+        ``image``, as an (m, n) view of it."""
         op, B, nb = self.op, ROW_BLOCK, len(self.decay)
         gp, hist = self.gp[:m], self.hist[:, :m]
         # window k holds a lane at columns [kB - 1, (k + 1) B): a strided view
@@ -452,12 +452,12 @@ class _Workspace:
         op._per_block(op.moments, gw, hist[1:].transpose(1, 0, 2))
         for d, prev, h in zip(self.decay[1:, :m], hist, hist[1:]):
             h += d * prev
-        y = op._per_block(op.near, gw, self.images[k, :m].reshape(m, nb, B))
+        y = op._per_block(op.near, gw, self.image[:m].reshape(m, nb, B))
         # the far field's part goes into the windows, which are read by now,
         # and writes over the padding that the next apply reads as zero
         y += op._per_block(op.expo, hist[:nb].transpose(1, 0, 2), gw[..., 1:])
         gp[:, op.n + 1 :] = 0.0
-        return self.images[k, :m, : op.n]
+        return self.image[:m, : op.n]
 
 
 @lru_cache(maxsize=4)

@@ -192,8 +192,11 @@ class OracleCase:
 
 
 def load_suite(path: str | Path) -> list[OracleCase]:
-    """Load a JSON file holding a list of oracle cases."""
-    data = json.loads(Path(path).read_text())
+    """Load a JSON file holding a list of oracle cases; a ``ValueError`` names it."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:  # bytes that are not UTF-8, or malformed JSON
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, list):
         raise ValueError(f"{path}: oracle suite must be a JSON array of cases")
     cases = []

@@ -26,7 +26,7 @@ from itertools import islice
 import numpy as np
 
 from .conductivity import ConductivityModel, model_from_json
-from .fractional import _Workspace, frac_integral_operator, gamma_fn
+from .fractional import KernelOperator, _Workspace, frac_integral_operator, gamma_fn
 from .timescale import SNAP, Grid, GridFunction, TimeScale, build_grid, json_number
 
 __all__ = [
@@ -46,10 +46,10 @@ __all__ = [
 
 DEFAULT_CELLS = 512
 # bytes of each (lanes, n) buffer of the Picard loop.  On the 2504-node
-# sweep-lambda grid a batch's workspace holds about seven of them (padded
-# samples, u and K(u), and two each for the 63 history sums and their
-# decays), and the loop peaks at 9.5 (11.4 before the workspace) with the
-# batch's reports and NumPy's iteration buffers: the lane count keeps the
+# sweep-lambda grid a batch holds about seven of them (u, and in its
+# workspace the padded samples, K(u), and two each for the 63 history sums
+# and their decays), and one batch peaks at 9.3 (11.4 before the workspace)
+# with its reports and NumPy's iteration buffers: the lane count keeps the
 # loop's memory fixed, as fractional.CHUNK does for _moments.  On that grid
 # (2-core Xeon) it gives 6 lanes: the 24-lambda Picard went from 42 to
 # 23 ms in process, for 0.7 MiB of peak RSS; 8 to 13 lanes were no faster
@@ -245,24 +245,6 @@ def denominator(spec: ProblemSpec, u: GridFunction) -> float:
     return spec.grid.window_integral(spec.model.apply(u.values)) ** 2
 
 
-def _apply_k_lanes(
-    spec: ProblemSpec, u: np.ndarray, lam: np.ndarray, ws: _Workspace, k: int
-) -> np.ndarray:
-    """``K(u)`` for every lane (row) of ``u``, at the lane's multiplier in
-    ``lam``, in the kernel operator's workspace ``ws``: ``f(u)`` goes into
-    its window, and ``K(u)`` into ``ws.images[k]``, which must not hold
-    ``u``.  Each row is bit-identical to that lane applied alone."""
-    m = len(u)
-    fv = spec.model._apply_into(u, ws.window[:m])
-    # squared as Python floats, by libm's pow as a lone lane always was: on
-    # random floats pow(x, 2) differs from x * x about once in a thousand
-    den = np.array([w**2 for w in spec.grid.window_integral(fv).tolist()])
-    ku = ws.apply(m, k)
-    ku *= lam[:, None]
-    ku /= den[:, None]
-    return ku
-
-
 def apply_K(spec: ProblemSpec, u: GridFunction) -> GridFunction:
     """One application of the solution operator to a sampled profile.
 
@@ -270,9 +252,13 @@ def apply_K(spec: ProblemSpec, u: GridFunction) -> GridFunction:
     empty window) and is nonnegative whenever ``lam >= 0``.
     """
     _check_grid(spec, u)
-    ws = _Workspace(frac_integral_operator(spec.grid, 2.0 * spec.alpha), 1)
-    ku = _apply_k_lanes(spec, u.values[None], np.array([spec.lam]), ws, 0)
-    return GridFunction(spec.grid, ku[0])
+    fv = spec.model.apply(u.values)
+    ku = frac_integral_operator(spec.grid, 2.0 * spec.alpha).apply(fv)
+    ku *= spec.lam
+    # squared as a Python float by libm's pow, as each Picard lane is: on
+    # random floats pow(x, 2) differs from x * x about once in a thousand
+    ku /= spec.grid.window_integral(fv) ** 2
+    return GridFunction(spec.grid, ku)
 
 
 # -- Picard iteration ------------------------------------------------------
@@ -373,10 +359,10 @@ def picard_sweep(
         _check_grid(spec, u0)
         start = u0.values
     width = max(1, LANE_BYTES // (8 * n))
-    operator = frac_integral_operator(grid, 2.0 * spec.alpha).to_json()
+    op = frac_integral_operator(grid, 2.0 * spec.alpha)
     lams = iter(lams)
     while batch := [_Lane(_at(spec, lam)) for lam in islice(lams, width)]:
-        yield from _run_batch(spec, batch, start, operator)
+        yield from _run_batch(spec, batch, start, op)
 
 
 def _at(spec: ProblemSpec, lam: float) -> ProblemSpec:
@@ -391,34 +377,42 @@ def _at(spec: ProblemSpec, lam: float) -> ProblemSpec:
     return at
 
 
-def _run_batch(spec: ProblemSpec, batch: list[_Lane], start: np.ndarray, operator: dict) -> list:
-    """The reports of ``batch``, its lanes run from ``start``.  A frame of
-    its own, so the batch's arrays are freed before the next batch's."""
-    theta, lanes, n = spec.theta, batch, len(start)
+def _run_batch(
+    spec: ProblemSpec, batch: list[_Lane], start: np.ndarray, op: KernelOperator
+) -> list:
+    """The reports of ``batch``, its lanes run from ``start`` by ``op``.  The
+    lanes' ``u`` are the leading rows of one (lanes, n) array, in order,
+    beside one workspace for every apply: ``f(u)`` goes into its window,
+    ``K(u)`` into its image, and each lane that stays copies its update into
+    its row.  A frame of its own, so the batch's arrays go before the next's."""
+    theta, lanes = spec.theta, batch
     stop = spec.tol * theta  # the damped step is theta |K(u) - u|
-    # one workspace for every apply of the batch; u and K(u) alternate
-    # between its two images, so an apply never writes the u still read
-    ws = _Workspace(frac_integral_operator(spec.grid, 2.0 * spec.alpha), len(batch), 2)
-    k = 0
-    ws.images[k, :, :n] = start
+    ws = _Workspace(op, len(batch))
+    u = np.tile(start, (len(batch), 1))
     while lanes:
         m = len(lanes)
-        u = ws.images[k, :m, :n]
-        k = 1 - k
-        ku = _apply_k_lanes(spec, u, np.array([lane.spec.lam for lane in lanes]), ws, k)
+        um = u[:m]
+        fv = spec.model._apply_into(um, ws.window[:m])
+        # squared as Python floats, by libm's pow as a lone lane always was: on
+        # random floats pow(x, 2) differs from x * x about once in a thousand
+        den = np.array([w**2 for w in spec.grid.window_integral(fv).tolist()])
+        ku = ws.apply(m)
+        ku *= np.array([lane.spec.lam for lane in lanes])[:, None]
+        ku /= den[:, None]
         rows = []
         for i, lane in enumerate(lanes):
             if lane.converged is not None:
-                lane.report = _report(spec, lane, u[i], ku[i], operator)
+                lane.report = _report(spec, lane, um[i], ku[i], op)
             else:
                 rows.append(i)
         # the damped update and the steps |nxt - u| go in place: into K(u),
-        # which no lane reads again, and into the window, free after the apply
+        # which no lane reads again, and into the window, free after the
+        # apply, where a scratch buffer of their own would cost one more lane
         nxt, diff = ku, ws.window[:m]
         if theta != 1.0:
             nxt *= theta
-            nxt += np.multiply(u, 1.0 - theta, out=diff)
-        np.abs(np.subtract(nxt, u, out=diff), out=diff)
+            nxt += np.multiply(um, 1.0 - theta, out=diff)
+        np.abs(np.subtract(nxt, um, out=diff), out=diff)
         steps = np.max(diff, axis=1).tolist()
         for i in rows:
             lane = lanes[i]
@@ -427,19 +421,18 @@ def _run_batch(spec: ProblemSpec, batch: list[_Lane], start: np.ndarray, operato
                 lane.converged = True
             elif len(lane.trace) == spec.max_iter:
                 lane.converged = False
-        # the lanes that stay move up into the leading rows, in order
+        # the staying lanes' updates become their u, in the leading rows, in order
         for j, i in enumerate(rows):
-            if i != j:
-                nxt[j] = nxt[i]
+            u[j] = nxt[i]
         lanes = [lanes[i] for i in rows]
     return [lane.report for lane in batch]
 
 
-def _report(spec: ProblemSpec, lane: _Lane, u: np.ndarray, ku: np.ndarray, operator: dict):
+def _report(spec: ProblemSpec, lane: _Lane, u: np.ndarray, ku: np.ndarray, op: KernelOperator):
     """The report of a lane that leaves the loop at ``u``, with image ``ku``,
-    on ``spec``'s grid."""
+    on ``spec``'s grid, through the kernel operator ``op``."""
     apriori = None
-    if contraction := _contraction(lane.spec, operator["eps"]):
+    if contraction := _contraction(lane.spec, op.eps):
         q_theta, gap, kernel = contraction
         apriori = (q_theta * lane.trace[-1] + kernel) / gap
     return SolveReport(
@@ -451,7 +444,7 @@ def _report(spec: ProblemSpec, lane: _Lane, u: np.ndarray, ku: np.ndarray, opera
         residual=float(np.max(np.abs(ku - u))),
         apriori_bound=apriori,
         positive=bool(np.all(u >= 0.0)),
-        operator=dict(operator),
+        operator=op.to_json(),
     )
 
 

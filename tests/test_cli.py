@@ -109,10 +109,16 @@ def test_solve_rejects_unreadable_config(tmp_path, capsys):
 
 
 def test_solve_rejects_malformed_json(tmp_path, capsys):
+    # malformed JSON, and bytes that are not UTF-8: one error line that
+    # names the file, from every command that reads a config
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["solve", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
-    assert "not valid JSON" in capsys.readouterr().err
+    for data, message in [(b"{not json", "is not valid JSON"), (b"\xff\xfe{}", "cannot read")]:
+        bad.write_bytes(data)
+        for command in ("solve", "sweep", "threshold"):
+            assert main([command, "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert message in err and str(bad) in err
 
 
 AFFINE = AFFINE_PROBLEM["conductivity"]
@@ -703,6 +709,28 @@ def test_an_out_that_cannot_be_created_exits_one(tmp_path, capsys, command):
     assert sorted(tmp_path.rglob("*")) == before and taken.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize(
+    "command,name",
+    [("solve", "report.json"), ("threshold", "threshold.json"), ("sweep", "sweep.csv"),
+     ("verify", "verify.json")],
+)
+def test_an_output_file_that_cannot_be_written_exits_one(tmp_path, capsys, command, name):
+    # a directory stands where the output file goes: one error line that
+    # names the file, exit 1
+    cfg = write_config(tmp_path, AFFINE_PROBLEM)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    args = [command, "--out", str(out)]
+    if command != "verify":
+        args += ["--config", cfg]
+    if command == "sweep":
+        args += SWEEP_FLAGS
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out / name) in err
+
+
 # -- verify ----------------------------------------------------------------
 
 
@@ -779,6 +807,30 @@ def test_verify_rejects_a_malformed_suite(tmp_path, capsys, entry, message):
     assert main(["verify", "--cases", str(tmp_path / "cases")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"suite.json: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda path: path.mkdir(), id="directory"),
+        pytest.param(lambda path: path.write_text("[{not json"), id="json"),
+        pytest.param(lambda path: path.write_bytes(b"\xff\xfe[]"), id="utf8"),
+    ],
+)
+def test_verify_names_a_suite_it_cannot_read(tmp_path, capsys, make):
+    # bad.json sits among good suites: one error line that names it, exit 1
+    good = [{"name": "g", "inputs": {"kind": "gamma", "params": {"x": 1.0}},
+             "expected": 1.0, "tolerance": 1e-12}]
+    cases = tmp_path / "cases"
+    cases.mkdir()
+    for name in ("a.json", "z.json"):
+        (cases / name).write_text(json.dumps(good))
+    make(cases / "bad.json")
+    assert main(["verify", "--cases", str(cases)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(cases / "bad.json") in captured.err
 
 
 # -- real process entry points ---------------------------------------------

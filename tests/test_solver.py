@@ -32,7 +32,7 @@ from chronofrac import (
 from chronofrac.cli import _write_report
 from chronofrac.fractional import ROW_BLOCK, _weights
 from chronofrac.oracles import constant_f_solution
-from conftest import make_scale
+from conftest import fragmented_scale, make_scale
 
 GAMMA_3_2 = math.gamma(1.5)
 
@@ -56,6 +56,19 @@ def readme_spec(**kw) -> ProblemSpec:
         lam=0.05,
         model=ClampedAffine(base=1.0, slope=1.0, lo=1.0, hi=2.0),
         h_max=0.01,
+        **kw,
+    )
+
+
+def sweep_spec(**kw) -> ProblemSpec:
+    """The README scale at 2504 nodes, 6 Picard lanes, as the lambda-sweep
+    benchmark runs it."""
+    return ProblemSpec(
+        timescale=TimeScale(((0.0, 1.0), (1.5, 1.5), (2.0, 2.5))),
+        alpha=0.25,
+        lam=0.0,
+        model=BoundedRational(c1=1.0, c2=2.5, scale=0.5),
+        h_max=6e-4,
         **kw,
     )
 
@@ -484,15 +497,9 @@ def test_a_lane_at_the_spec_multiplier_is_the_spec():
 def test_sweep_batch_applies_in_one_workspace():
     # 24 multipliers in 6 lanes of 2504 nodes, every report kept: the peak
     # was 14.5 (lanes, n) buffers while each apply allocated its sums, the
-    # repeated decays, f(u) and its images afresh, and is 12.5 with one
-    # workspace for the batch (NumPy 2.4.6)
-    spec = ProblemSpec(
-        timescale=TimeScale(((0.0, 1.0), (1.5, 1.5), (2.0, 2.5))),
-        alpha=0.25,
-        lam=0.0,
-        model=BoundedRational(c1=1.0, c2=2.5, scale=0.5),
-        h_max=6e-4,
-    )
+    # repeated decays, f(u) and its images afresh, and is 12.5 with the
+    # batch's u beside one workspace with one result buffer (NumPy 2.4.6)
+    spec = sweep_spec()
     n = len(spec.grid)
     width = solver.LANE_BYTES // (8 * n)
     assert (n, width) == (2504, 6)
@@ -506,6 +513,50 @@ def test_sweep_batch_applies_in_one_workspace():
         tracemalloc.stop()
     assert all(report.converged for report in reports)
     assert peak < 13.5 * 8 * width * n
+
+
+def _one_step_from_zero(spec: ProblemSpec) -> tuple[bytes, float]:
+    """What one undamped Picard step from zero must report, by ``apply_K``:
+    the bytes of ``K(0)`` and the residual ``max |K(K(0)) - K(0)|``."""
+    k0 = apply_K(spec, GridFunction.zeros(spec.grid))
+    kk0 = apply_K(spec, k0)
+    return k0.values.tobytes(), float(np.max(np.abs(kk0.values - k0.values)))
+
+
+@pytest.mark.parametrize("scale", ["mixed", "fragmented", "discrete"])
+def test_apply_k_is_the_picard_loops_k_bit_for_bit(scale):
+    # apply_K and the Picard loop's batch are separate code paths to K(u).
+    # At theta = 1 one step from zero stops at u = K(0), and the report's
+    # residual is one more apply: both must be apply_K's, byte for byte
+    rng = np.random.default_rng(11)
+    if scale == "mixed":
+        spec = readme_spec(max_iter=1)
+    elif scale == "fragmented":
+        ts = fragmented_scale(rng, 80)
+        spec = replace(sweep_spec(max_iter=1), timescale=ts, lam=0.3, h_max=0.004)
+    else:
+        pts = np.cumsum(rng.uniform(0.2, 1.5, 300))
+        spec = replace(readme_spec(max_iter=1), timescale=TimeScale.from_points(pts.tolist()))
+    # more than one row block: the far field is in both paths
+    assert frac_integral_operator(spec.grid, 2.0 * spec.alpha).eps > 0.0
+    report = picard_solve(spec)
+    assert report.iterations == 1 and not report.converged
+    k0, residual = _one_step_from_zero(spec)
+    assert report.solution.values.tobytes() == k0
+    assert report.residual == residual > 0.0
+
+
+def test_apply_k_is_every_sweep_lanes_k_bit_for_bit():
+    # 8 multipliers on 2504 nodes run as two batches, of 6 lanes and of 2;
+    # every lane's one step from zero is apply_K's, at the lane's own lambda
+    spec = sweep_spec(max_iter=1)
+    width = solver.LANE_BYTES // (8 * len(spec.grid))
+    lams = [0.95 * spec.bounds.lambda_star * k / 7 for k in range(8)]
+    assert width == 6 < len(lams)
+    for report in picard_sweep(spec, lams):
+        k0, residual = _one_step_from_zero(report.spec)
+        assert report.solution.values.tobytes() == k0
+        assert report.residual == residual
 
 
 def test_solve_report_serializes(tmp_path):
