@@ -73,6 +73,10 @@ DENSE_CAP = 2 * 2**30  # bytes of row blocks above which an operator is refused
 # entries per pass of _moments, which holds about a dozen temporaries of this
 # size: 2**16 raised the peak memory of a fragmented-grid solve by 5 MiB
 CHUNK = 2**14
+# row blocks whose decays a workspace of several lanes repeats at once: on
+# the 2504-node sweep-lambda grid (79 row blocks, 63 terms) 8 of them take
+# a fifth of a (6, n) buffer, where all 79 would take two
+DECAY_CHUNK = 8
 
 
 class OperatorTooLarge(ValueError):
@@ -402,8 +406,10 @@ class KernelOperator:
         lanes, lanes first.  Row i of the result is lane i's integral,
         bit-identical to applying the operator to that lane alone.  Each
         call allocates a workspace for its lanes: the padded samples, the
-        history sums, the decays repeated past one lane and the result.  A
-        Picard batch allocates one and reuses it in every apply.
+        history sums, past one lane the decays of ``DECAY_CHUNK`` row blocks
+        repeated per lane, and the result.  A Picard batch allocates one and
+        reuses it in every apply, which then allocates nothing at the size of
+        its lanes.
         """
         n = self.n
         if np.shape(g)[-1:] != (n,):
@@ -420,29 +426,39 @@ class _Workspace:
     """The buffers of ``KernelOperator.apply`` to up to ``width`` lanes,
     allocated once and reused by every ``apply``.
 
-    Lane i's samples go in ``window[i]``, columns [1, n + 1) of row i of
-    ``gp``, whose other columns read zero.  ``hist[k]`` holds the N history
-    sums at the node before row block k; ``hist[0]`` stays zero.  ``decay``
-    is the operator's, repeated past one lane so that each step runs over
-    contiguous (m, N) blocks: a broadcast step costs more than the step
-    itself.  The result, ``image``, has nb B columns a lane, the first n of
-    them at the nodes; each ``apply`` writes over it.
+    ``gp`` and ``image`` have one row of nb B + 1 floats a lane, node j of
+    the lane at column j + 1, the columns that ``nodes`` views.  Lane i's
+    samples go in ``window[i]``, the nodes of row i of ``gp``; ``apply``
+    zeroes the other columns, so a caller may run an elementwise step over
+    the whole rows.  ``hist[k]`` holds the N history sums at the node before
+    row block k; ``hist[0]`` stays zero.  ``decay`` takes the operator's
+    decays of ``DECAY_CHUNK`` row blocks at a time, repeated once per lane,
+    so that each step of several lanes runs over contiguous (m, N) blocks: a
+    broadcast step costs more than the step itself.  One lane steps by the
+    operator's own decays and has no ``decay``.  The result goes in
+    ``image``, at the samples' columns; each ``apply`` writes over them.
     """
 
     def __init__(self, op: KernelOperator, width: int):
-        nb = len(op.decay)
+        nb, terms = len(op.decay), len(op.rates)
         self.op = op
         self.gp = np.zeros((width, nb * ROW_BLOCK + 1))
-        self.window = self.gp[:, 1 : op.n + 1]
-        self.hist = np.zeros((nb + 1, width, len(op.rates)))
-        self.decay = op.decay[:, None] if width == 1 else op.decay[:, None].repeat(width, 1)
-        self.image = np.empty((width, nb * ROW_BLOCK))
+        self.window = self.nodes(self.gp)
+        self.hist = np.zeros((nb + 1, width, terms))
+        self.decay = np.empty((DECAY_CHUNK, width, terms)) if width > 1 else None
+        self.image = np.zeros_like(self.gp)
+
+    def nodes(self, rows: np.ndarray) -> np.ndarray:
+        """The node columns of ``rows``, rows laid out as ``gp``'s."""
+        return rows[:, 1 : self.op.n + 1]
 
     def apply(self, m: int) -> np.ndarray:
         """``W @ g`` for the first ``m`` lanes of ``window``, written into
         ``image``, as an (m, n) view of it."""
-        op, B, nb = self.op, ROW_BLOCK, len(self.decay)
-        gp, hist = self.gp[:m], self.hist[:, :m]
+        op, B, nb = self.op, ROW_BLOCK, len(self.op.decay)
+        gp, hist, image = self.gp[:m], self.hist[:, :m], self.image[:m]
+        gp[:, 0] = 0.0
+        gp[:, op.n + 1 :] = 0.0
         # window k holds a lane at columns [kB - 1, (k + 1) B): a strided view
         # made directly, since sliding_window_view spends more Python time on
         # it than a lane's recurrence step takes
@@ -450,14 +466,23 @@ class _Workspace:
         # block k's moments go to hist[k + 1], and each step adds the sums
         # before block k, carried on by its decay
         op._per_block(op.moments, gw, hist[1:].transpose(1, 0, 2))
-        for d, prev, h in zip(self.decay[1:, :m], hist, hist[1:]):
-            h += d * prev
-        y = op._per_block(op.near, gw, self.image[:m].reshape(m, nb, B))
+        # several lanes by a chunk of decays at a time, one lane by all the
+        # operator's own at once
+        step = DECAY_CHUNK if m > 1 else nb
+        for k in range(1, nb, step):
+            decay = op.decay[k : k + step, None]
+            if m > 1:
+                repeated = self.decay[: len(decay), :m]
+                repeated[...] = decay
+                decay = repeated
+            for d, prev, h in zip(decay, hist[k - 1 :], hist[k:]):
+                h += d * prev
+        op._per_block(op.near, gw, image[:, 1:].reshape(m, nb, B))
         # the far field's part goes into the windows, which are read by now,
-        # and writes over the padding that the next apply reads as zero
-        y += op._per_block(op.expo, hist[:nb].transpose(1, 0, 2), gw[..., 1:])
-        gp[:, op.n + 1 :] = 0.0
-        return self.image[:m, : op.n]
+        # at the same columns as the near field's; column 0 stays zero
+        op._per_block(op.expo, hist[:nb].transpose(1, 0, 2), gw[..., 1:])
+        image += gp
+        return self.nodes(image)
 
 
 @lru_cache(maxsize=4)

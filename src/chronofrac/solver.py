@@ -46,14 +46,13 @@ __all__ = [
 
 DEFAULT_CELLS = 512
 # bytes of each (lanes, n) buffer of the Picard loop.  On the 2504-node
-# sweep-lambda grid a batch holds about seven of them (u, and in its
-# workspace the padded samples, K(u), and two each for the 63 history sums
-# and their decays), and one batch peaks at 9.3 (11.4 before the workspace)
-# with its reports and NumPy's iteration buffers: the lane count keeps the
-# loop's memory fixed, as fractional.CHUNK does for _moments.  On that grid
-# (2-core Xeon) it gives 6 lanes: the 24-lambda Picard went from 42 to
-# 23 ms in process, for 0.7 MiB of peak RSS; 8 to 13 lanes were no faster
-# and cost up to 2.3 MiB
+# sweep-lambda grid a batch holds about five of them (u, and in its
+# workspace the padded samples, K(u), two for the 63 history sums and a
+# fifth of one for 8 row blocks' decays), and one batch peaks at 6.8 with
+# its reports: the lane count keeps the loop's memory fixed, as
+# fractional.CHUNK does for _moments.  On that grid (2-core Xeon) it gives
+# 6 lanes: the 24-lambda Picard went from 42 to 23 ms in process, for
+# 0.7 MiB of peak RSS; 8 to 13 lanes were no faster and cost up to 2.3 MiB
 LANE_BYTES = 2**17
 
 
@@ -220,9 +219,9 @@ def equicontinuity_modulus(spec: ProblemSpec, t1: float, t2: float) -> float:
     integral ``c2 (t2 - t1)**(2a) / (2a)``.
     """
     ts = spec.timescale
-    if t1 > t2:
+    if not t1 <= t2:  # NaN fails it too
         raise ValueError("pair must satisfy t1 <= t2")
-    if t1 < ts.t0 - SNAP or t2 > ts.T + SNAP:
+    if not (ts.t0 - SNAP <= t1 and t2 <= ts.T + SNAP):
         raise ValueError("pair must lie inside the time scale window")
     return spec.bounds.modulus * (t2 - t1) ** (2.0 * spec.alpha)
 
@@ -381,39 +380,44 @@ def _run_batch(
     spec: ProblemSpec, batch: list[_Lane], start: np.ndarray, op: KernelOperator
 ) -> list:
     """The reports of ``batch``, its lanes run from ``start`` by ``op``.  The
-    lanes' ``u`` are the leading rows of one (lanes, n) array, in order,
-    beside one workspace for every apply: ``f(u)`` goes into its window,
-    ``K(u)`` into its image, and each lane that stays copies its update into
-    its row.  A frame of its own, so the batch's arrays go before the next's."""
+    lanes' ``u`` are the leading rows of one array, in order, beside one
+    workspace for every apply: ``f(u)`` goes into its window, ``K(u)`` into
+    its image, and each lane that stays copies its update into its row.  A
+    frame of its own, so the batch's arrays go before the next's."""
     theta, lanes = spec.theta, batch
     stop = spec.tol * theta  # the damped step is theta |K(u) - u|
     ws = _Workspace(op, len(batch))
-    u = np.tile(start, (len(batch), 1))
+    # u takes the workspace's padded layout, so that each elementwise step
+    # runs once over whole contiguous blocks: NumPy copies an operand of
+    # several rows not laid end to end
+    u = np.zeros_like(ws.gp)
+    ws.nodes(u)[...] = start
     while lanes:
         m = len(lanes)
-        um = u[:m]
-        fv = spec.model._apply_into(um, ws.window[:m])
+        um, fu, image = u[:m], ws.gp[:m], ws.image[:m]
+        spec.model._apply_into(um, fu)
         # squared as Python floats, by libm's pow as a lone lane always was: on
         # random floats pow(x, 2) differs from x * x about once in a thousand
-        den = np.array([w**2 for w in spec.grid.window_integral(fv).tolist()])
+        den = np.array([w**2 for w in spec.grid.window_integral(ws.window[:m]).tolist()])
         ku = ws.apply(m)
         ku *= np.array([lane.spec.lam for lane in lanes])[:, None]
         ku /= den[:, None]
         rows = []
         for i, lane in enumerate(lanes):
             if lane.converged is not None:
-                lane.report = _report(spec, lane, um[i], ku[i], op)
+                lane.report = _report(spec, lane, ws.nodes(um)[i], ku[i], op)
             else:
                 rows.append(i)
         # the damped update and the steps |nxt - u| go in place: into K(u),
-        # which no lane reads again, and into the window, free after the
-        # apply, where a scratch buffer of their own would cost one more lane
-        nxt, diff = ku, ws.window[:m]
+        # which no lane reads again, and into the padded samples, free after
+        # the apply, where a scratch buffer of their own would cost one more
+        # lane
+        nxt, diff = image, fu
         if theta != 1.0:
             nxt *= theta
             nxt += np.multiply(um, 1.0 - theta, out=diff)
         np.abs(np.subtract(nxt, um, out=diff), out=diff)
-        steps = np.max(diff, axis=1).tolist()
+        steps = np.max(ws.window[:m], axis=1).tolist()
         for i in rows:
             lane = lanes[i]
             lane.trace.append(steps[i])

@@ -30,7 +30,7 @@ from chronofrac import (
     solver,
 )
 from chronofrac.cli import _write_report
-from chronofrac.fractional import ROW_BLOCK, _weights
+from chronofrac.fractional import DECAY_CHUNK, ROW_BLOCK, _Workspace, _weights
 from chronofrac.oracles import constant_f_solution
 from conftest import fragmented_scale, make_scale
 
@@ -276,6 +276,11 @@ def test_equicontinuity_modulus_values_and_errors():
     assert abs(equicontinuity_modulus(spec, 0.0, 1.0) - 2.0 / GAMMA_3_2) <= 1e-14
     with pytest.raises(ValueError, match="t1 <= t2"):
         equicontinuity_modulus(spec, 0.8, 0.2)
+    # every comparison with NaN is false, so a NaN endpoint must fail each
+    # guard rather than pass it on to a NaN modulus
+    for t1, t2 in ((math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)):
+        with pytest.raises(ValueError, match="t1 <= t2"):
+            equicontinuity_modulus(spec, t1, t2)
     with pytest.raises(ValueError, match="window"):
         equicontinuity_modulus(spec, 0.0, 1.5)
 
@@ -463,8 +468,12 @@ def test_sweep_batches_yield_the_lone_reports_in_order():
     # lambda = 0, which converges at once from zero; the batches after it
     # run descending multipliers.  Every report, from a custom start too,
     # is the one its lone solve gives, in the order asked
-    spec = canonical_spec(0.05, h_max=1.0 / 512, theta=0.5, max_iter=45)
+    spec = canonical_spec(0.05, h_max=1.0 / 480, theta=0.5, max_iter=45)
     width = solver.LANE_BYTES // (8 * len(spec.grid))
+    # 16 row blocks: the lanes step the history sums of blocks 1 to 15 in
+    # chunks of DECAY_CHUNK decays, a whole chunk and then a short one
+    steps = -(-len(spec.grid) // ROW_BLOCK) - 1
+    assert steps > DECAY_CHUNK and steps % DECAY_CHUNK
     lams = [40.0, 0.0] + [0.01 * k for k in range(2 * width + 3, 0, -1)]
     assert len(lams) == 2 * width + 5
     for u0 in (None, GridFunction.sample(spec.grid, lambda t: t)):
@@ -496,9 +505,8 @@ def test_a_lane_at_the_spec_multiplier_is_the_spec():
 
 def test_sweep_batch_applies_in_one_workspace():
     # 24 multipliers in 6 lanes of 2504 nodes, every report kept: the peak
-    # was 14.5 (lanes, n) buffers while each apply allocated its sums, the
-    # repeated decays, f(u) and its images afresh, and is 12.5 with the
-    # batch's u beside one workspace with one result buffer (NumPy 2.4.6)
+    # is 10.1 (lanes, n) buffers, the batch's u beside one workspace that
+    # repeats 8 row blocks' decays per lane, and the reports (NumPy 2.4.6)
     spec = sweep_spec()
     n = len(spec.grid)
     width = solver.LANE_BYTES // (8 * n)
@@ -512,7 +520,48 @@ def test_sweep_batch_applies_in_one_workspace():
     finally:
         tracemalloc.stop()
     assert all(report.converged for report in reports)
-    assert peak < 13.5 * 8 * width * n
+    assert peak < 11 * 8 * width * n
+
+
+def test_warm_lane_steps_allocate_no_lane_buffer(monkeypatch):
+    # on 6 lanes of 2504 nodes a warm apply, and one whole iteration of the
+    # lane loop around it, allocate under a tenth of a (lanes, n) buffer:
+    # no elementwise step leaves NumPy an operand to copy
+    spec = sweep_spec()
+    n = len(spec.grid)
+    lane_buffer = 8 * 6 * n
+    ws = _Workspace(frac_integral_operator(spec.grid, 2.0 * spec.alpha), 6)
+    ws.window[...] = np.random.default_rng(3).uniform(0.0, 2.0, (6, n))
+    ws.apply(6)
+    tracemalloc.start()
+    try:
+        ws.apply(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * lane_buffer
+
+    marks = []  # the traced (current, peak since the last mark) at each apply
+
+    class Marked(_Workspace):
+        def apply(self, m: int) -> np.ndarray:
+            marks.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+            return super().apply(m)
+
+    monkeypatch.setattr(solver, "_Workspace", Marked)
+    lams = [0.95 * spec.bounds.lambda_star * k / 23 for k in range(18, 24)]
+    tracemalloc.start()
+    try:
+        reports = list(picard_sweep(spec, lams))
+    finally:
+        tracemalloc.stop()
+    # from the third apply to the fourth: one iteration of all six lanes,
+    # none of which has left, since a lane leaves at the apply after its
+    # last step
+    assert min(len(report.trace) for report in reports) >= 4
+    (current, _), (_, peak) = marks[2], marks[3]
+    assert peak - current < 0.1 * lane_buffer
 
 
 def _one_step_from_zero(spec: ProblemSpec) -> tuple[bytes, float]:
