@@ -62,6 +62,15 @@ def _load_problem(config) -> ProblemSpec:
         raise ConfigError(str(exc)) from exc
 
 
+def _build_grid(spec: ProblemSpec) -> None:
+    """Lay down the spec's grid, which it caches, so a scale that fails the
+    grid's own checks ends here as a config error, not inside the solver."""
+    try:
+        spec.grid
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     try:
@@ -91,6 +100,7 @@ def _write_report(out: Path, report) -> None:
 
 def cmd_solve(args) -> int:
     spec = _load_problem(_load_json(args.config))
+    _build_grid(spec)
     out = _out_dir(args)
     report = picard_solve(spec)
     _write_report(out, report)
@@ -171,6 +181,7 @@ def cmd_sweep(args) -> int:
     config = _load_json(args.config)
     spec = _load_problem(config)
     lam_min, step, count = _sweep_range(args, config, spec)
+    _build_grid(spec)
     out = _out_dir(args)
 
     # each row is written as its report arrives, and no solution is kept past it

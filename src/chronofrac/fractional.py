@@ -61,10 +61,10 @@ def _alpha_of(order: float) -> float:
 
 # Rows of the kernel operator go in blocks of this height.  A distinct block
 # holds (B + 1)(B + N) + BN floats for N far-field terms, and its near field,
-# B + 1 floats a row, is about half zeros.  Against 64, 32 (with N from 82 to
-# 66 at SOE_STEP 0.25) took the seed-0 fragmented operator from 8.1 to
-# 5.9 MB, at the same apply time; 16 saved 0.4 MB more but applied about
-# 30 % slower.
+# B + 1 floats a row, is about half zeros.  Against 64, 32 took the seed-0
+# fragmented operator from 8.1 to 5.9 MB at N = 66, at the same apply time
+# (the Gauss fold of _soe then took N to 55 and it to 5.1 MB); 16 saved
+# 0.4 MB more but applied about 30 % slower.
 ROW_BLOCK = 32
 # ulps of the node magnitude by which two row blocks' node offsets may differ
 # and the blocks still share their arrays
@@ -172,6 +172,105 @@ def _weights(x, gaps, alpha: float, r0: int, r1: int) -> np.ndarray:
 
 
 SOE_STEP = 0.25  # the trapezoidal step in McLean's variable x
+# the terms with s span <= FOLD_SIGMA become a FOLD_POINTS-point Gauss rule
+FOLD_SIGMA = 1.0
+FOLD_POINTS = 7
+
+
+def _trapezoid(beta: float, span: float, stop: float) -> tuple[np.ndarray, np.ndarray]:
+    """McLean's trapezoidal rule for the order-``beta`` kernel on a window of
+    ``span``, over the steps ``x < stop``: each term's log rate and weight.
+    ``log(s span)`` and ``w span**(1 - beta)`` depend on the order alone."""
+    x = np.arange(-math.log(45.0 / (1.0 - beta)), stop, SOE_STEP)
+    # in log space: as beta -> 1 the slowest rates underflow long before w
+    log_s = x - np.exp(-x) - math.log(span)
+    w = np.exp((1.0 - beta) * log_s + np.log1p(np.exp(-x)))
+    w *= SOE_STEP / (math.gamma(beta) * math.gamma(1.0 - beta))
+    return log_s, w
+
+
+def _stieltjes(sigma: list[float], w: list[float], k: int) -> tuple[list[float], list[float]]:
+    """Coefficients ``a_j``, ``b_j`` (j < k) of the monic polynomials
+    ``p_{j+1} = (x - a_j) p_j - b_j p_{j-1}`` orthogonal for the measure
+    ``sum_l w_l delta(x - sigma_l)``, ``b_0`` its mass: Stieltjes' procedure."""
+    a, b = [], []
+    prev, cur, norm_prev = [0.0] * len(sigma), [1.0] * len(sigma), 1.0
+    for _ in range(k):
+        sq = [wl * p * p for wl, p in zip(w, cur)]
+        norm = math.fsum(sq)
+        a.append(math.fsum(q * x for q, x in zip(sq, sigma)) / norm)
+        b.append(norm / norm_prev)
+        prev, cur = cur, [(x - a[-1]) * p - b[-1] * q for x, p, q in zip(sigma, cur, prev)]
+        norm_prev = norm
+    return a, b
+
+
+def _jacobi_nodes(a: list[float], b: list[float]) -> list[float]:
+    """Zeros of ``p_k``, ascending: the eigenvalues of the Jacobi matrix of
+    diagonal ``a`` and off-diagonal ``sqrt(b[1:])``, by implicit QL with
+    Wilkinson shifts."""
+    d, e = list(a), [math.sqrt(v) for v in b[1:]] + [0.0]
+    k = len(d)
+    for l in range(k):
+        while True:
+            m = l
+            while m < k - 1 and abs(e[m]) > 2.0**-53 * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == l:
+                break
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            g = d[m] - d[l] + e[l] / (g + math.copysign(math.hypot(g, 1.0), g))
+            s = c = 1.0
+            p = 0.0
+            # no e[i] of the sweep is 0, so neither is any rotation's r
+            for i in range(m - 1, l - 1, -1):
+                f, h = s * e[i], c * e[i]
+                r = e[i + 1] = math.hypot(f, g)
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * h
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - h
+            d[l] -= p
+            e[l] = g
+            e[m] = 0.0
+    return sorted(d)
+
+
+def _recurrence(a: list[float], b: list[float], x: float) -> tuple[float, float, float]:
+    """``p_k(x)``, ``p_k'(x)`` and ``sum_{j<k} p_j(x)**2 / |p_j|**2``, with
+    ``|p_j|**2 = b_0 ... b_j``: the reciprocal of the Christoffel number at a
+    zero ``x`` of ``p_k``, its Gauss weight."""
+    p_prev, p, dp_prev, dp, norm, total = 0.0, 1.0, 0.0, 0.0, 1.0, 0.0
+    for aj, bj in zip(a, b):
+        norm *= bj
+        total += p * p / norm
+        p_prev, p, dp_prev, dp = p, (x - aj) * p - bj * p_prev, dp, p + (x - aj) * dp - bj * dp_prev
+    return p, dp, total
+
+
+@lru_cache(maxsize=8)
+def _fold(beta: float) -> tuple[int, tuple[float, ...], tuple[float, ...]]:
+    """The count of McLean's terms with ``s span <= FOLD_SIGMA``, and the
+    nodes ``s span`` and weights ``w span**(1 - beta)`` of the
+    ``FOLD_POINTS``-point Gauss rule of their discrete measure, in Python
+    floats: a LAPACK call would page OpenBLAS in, 0.5 MiB per process."""
+    # sigma = 1 at x = 0.567, so the steps below x = 1 hold every folded term
+    log_sigma, w = _trapezoid(beta, 1.0, 1.0)
+    m = int(np.count_nonzero(log_sigma <= math.log(FOLD_SIGMA)))
+    a, b = _stieltjes(np.exp(log_sigma[:m]).tolist(), w[:m].tolist(), FOLD_POINTS)
+    nodes, weights = [], []
+    for x in _jacobi_nodes(a, b):
+        # Newton on p_k: QL leaves the small nodes off by ulps of the largest
+        for _ in range(2):
+            p, dp, _ = _recurrence(a, b, x)
+            x -= p / dp
+        nodes.append(x)
+        weights.append(1.0 / _recurrence(a, b, x)[2])
+    # the weights sum to the mass b_0, up to rounding that scales them all
+    scale = b[0] / math.fsum(weights)
+    return m, tuple(nodes), tuple(v * scale for v in weights)
 
 
 def _soe(beta: float, delta: float, span: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -188,20 +287,28 @@ def _soe(beta: float, delta: float, span: float) -> tuple[np.ndarray, np.ndarray
     *Exponential sum approximations for t**(-beta)*, 2018).  That is below
     the 1e-15 or so by which the sum rounds, which sets ``eps``, so a finer
     step would only add terms.
+
+    The slow terms, ``sigma = s span <= theta = FOLD_SIGMA``, become the
+    ``k = FOLD_POINTS`` point Gauss rule of their measure ``mu`` in sigma
+    (Golub & Welsch 1969): positive nodes and weights, exact for
+    ``sigma**j``, j < 2k.  On ``g = exp(-sigma t / span)`` it errs by
+    ``g^(2k)(xi) / (2k)! int pi_k**2 dmu``, with ``|g^(2k)| <= 1`` for
+    ``t <= span`` and, as the monic Chebyshev polynomial on [0, theta] is at
+    most ``2 (theta / 4)**k``, ``int pi_k**2 dmu <= 4 (theta / 4)**(2k) mu``.
+    ``mu`` is within 20 % of ``(theta / span)**(1 - beta) / (gamma(beta)
+    gamma(2 - beta))``, so over the kernel the error is at most
+    ``4.8 theta**(1 - beta) (theta / 4)**(2k) / (gamma(2 - beta) (2k)!)``,
+    2.3e-19 at theta = 1 and k = 7.  ``mu`` depends on beta alone, up to
+    the factor ``span**(beta - 1)``, so the rule is cached per order.
     """
-    x = np.arange(-math.log(45.0 / (1.0 - beta)), math.log(50.0 * span / delta) + 1.0, SOE_STEP)
-    # in log space: as beta -> 1 the slowest rates underflow long before w
-    log_s = x - np.exp(-x) - math.log(span)
-    w = np.exp((1.0 - beta) * log_s + np.log1p(np.exp(-x)))
-    w *= SOE_STEP / (math.gamma(beta) * math.gamma(1.0 - beta))
+    log_s, w = _trapezoid(beta, span, math.log(50.0 * span / delta) + 1.0)
     s = np.exp(log_s)
     # keep n terms: the fast ones past them sum to under 1e-17 of the kernel at delta
     fast = np.cumsum((w * np.exp(-s * delta))[::-1])
     n = len(s) - np.count_nonzero(fast < 1e-17 * delta ** (beta - 1.0) / math.gamma(beta))
-    # exp(-s t) is 1 to double precision below s span = 2**-60, so the slow
-    # terms there are one term, at the largest of their rates
-    k = max(int(np.searchsorted(s, 2.0**-60 / span)) - 1, 0)
-    w, s = np.concatenate([[w[: k + 1].sum()], w[k + 1 : n]]), s[k:n]
+    m, nodes, weights = _fold(beta)
+    s = np.concatenate([np.array(nodes) / span, s[m:n]])
+    w = np.concatenate([np.array(weights) * span ** (beta - 1.0), w[m:n]])
     # 64 samples an octave: the error oscillates about once per step in x
     t = np.geomspace(delta, span, int(64 * math.log2(span / delta)) + 2)
     err = np.max(np.abs(_decays(t, s, w).sum(axis=1) * math.gamma(beta) * t ** (1.0 - beta) - 1.0))
@@ -490,8 +597,8 @@ def frac_integral_operator(grid: Grid, order: float) -> KernelOperator:
     """Operator mapping node samples to fractional-integral values, cached
     per (grid, order).  The cap ``DENSE_CAP`` counts the row blocks, so the
     4 cached operators hold at most 8 GiB of blocks beside their grids; a
-    4350-node fragmented grid takes 5.6 MiB, a 20000-point discrete scale
-    28 MiB and a 5004-node grid of two uniform intervals 0.33 MiB.  Raises
+    4350-node fragmented grid takes 4.9 MiB, a 20000-point discrete scale
+    24 MiB and a 5004-node grid of two uniform intervals 0.24 MiB.  Raises
     ``OperatorTooLarge`` before allocating any block when the blocks would
     pass the cap."""
     return KernelOperator(grid, _alpha_of(order))

@@ -597,6 +597,19 @@ def test_grid_over_node_cap_exits_one(tmp_path, capsys, command):
     assert main(["threshold", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_grid_that_fails_its_own_check_exits_one(tmp_path, capsys, command):
+    # cells of 1e-4 on [1e5, 100001] round wider than h_max: the grid is
+    # built before the solver runs, so its check ends in one error line
+    cfg = write_config(tmp_path, {**AFFINE_PROBLEM, "time_scale": [[1e5, 100001]], "h_max": 1e-4})
+    args = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+    assert main(args + (SWEEP_FLAGS if command == "sweep" else [])) == 1
+    err = capsys.readouterr().err
+    assert err == "error: cell wider than h_max inside an interval\n"
+    # threshold builds no grid, so the same config succeeds there
+    assert main(["threshold", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_write_report_streams_its_files(tmp_path):
     # a report of 1e5 nodes: writing it holds no list of row strings and
     # no whole-file string beside the solution

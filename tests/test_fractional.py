@@ -21,13 +21,17 @@ from chronofrac import (
 )
 from chronofrac.fractional import (
     DECAY_CHUNK,
+    FOLD_POINTS,
+    FOLD_SIGMA,
     ROW_BLOCK,
     SOE_STEP,
     KernelOperator,
     OperatorTooLarge,
     _block_bytes,
+    _fold,
     _hat_weights,
     _soe,
+    _trapezoid,
     _weights,
 )
 from chronofrac.oracles import (
@@ -636,6 +640,57 @@ def test_sum_of_exponentials_within_its_stored_error(beta, delta):
         assert len(s) <= 0.6 * (16 + 10 * math.ceil(math.log2(40.0 * span / delta)))
 
 
+FOLD_ORDERS = [0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98]
+
+
+@pytest.mark.parametrize("beta", FOLD_ORDERS)
+def test_folded_terms_keep_the_moments_of_the_terms_they_replace(beta):
+    # the Gauss rule of the terms with s span <= FOLD_SIGMA is exact for
+    # sigma**j, j < 2k, on their discrete measure; its nodes lie inside the
+    # folded range and, like its weights, are positive; and its error bound
+    # 4 (theta / 4)**(2k) mu gamma(beta) / (2k)!, over the kernel at span,
+    # is under 1e-17
+    m, nodes, weights = _fold(beta)
+    log_sigma, w = _trapezoid(beta, 1.0, 1.0)
+    sigma, w = np.exp(log_sigma[:m]), w[:m]
+    assert len(nodes) == len(weights) == FOLD_POINTS < m
+    assert np.all(log_sigma[:m] <= math.log(FOLD_SIGMA)) and log_sigma[m] > math.log(FOLD_SIGMA)
+    assert sigma[0] < min(nodes) and max(nodes) < sigma[-1] and min(nodes) > 0.0
+    assert list(nodes) == sorted(nodes) and min(weights) > 0.0
+    for j in range(2 * FOLD_POINTS):
+        exact = math.fsum(w * sigma**j)
+        assert abs(math.fsum(np.array(weights) * np.array(nodes) ** j) - exact) <= 1e-13 * exact, j
+    k = FOLD_POINTS
+    bound = 4.0 * (FOLD_SIGMA / 4.0) ** (2 * k) * math.fsum(w) * math.gamma(beta) / math.factorial(2 * k)
+    assert bound <= 1e-17
+
+
+def _unfolded_terms(beta, delta, span):
+    # the term count before the fold: the trapezoidal rule after its drop
+    # of the fast terms, with the terms below s span = 2**-60 as one
+    log_s, w = _trapezoid(beta, span, math.log(50.0 * span / delta) + 1.0)
+    s = np.exp(log_s)
+    fast = np.cumsum((w * np.exp(-s * delta))[::-1])
+    n = len(s) - np.count_nonzero(fast < 1e-17 * delta ** (beta - 1.0) / math.gamma(beta))
+    return n - max(int(np.count_nonzero(s < 2.0**-60 / span)) - 1, 0)
+
+
+def test_fold_keeps_eps_and_drops_terms_on_every_order_span_and_ratio():
+    # 13 orders x 6 spans x 6 ratios span / delta: every rate and weight
+    # positive and finite, eps under 3.6e-15 (the largest on this grid
+    # before the fold), and at least 9 terms fewer than the unfolded rule
+    cases = 0
+    for beta in FOLD_ORDERS:
+        for span in (1e-3, 1.0, 2.5, 36.0, 1e3, 1e6):
+            for ratio in (2.0, 1e2, 1e4, 1e6, 1e9, 1e12):
+                s, w, eps = _soe(beta, span / ratio, span)
+                assert np.all(np.isfinite(s) & (s > 0.0)) and np.all(np.isfinite(w) & (w > 0.0))
+                assert 0.0 < eps <= 3.6e-15, (beta, span, ratio)
+                assert len(s) <= _unfolded_terms(beta, span / ratio, span) - 9, (beta, span, ratio)
+                cases += 1
+    assert cases == 468
+
+
 def test_mixed_scale_shares_its_row_blocks():
     # the benchmark's mixed scale: its two intervals have one spacing, so
     # the first block, one per interval, the one across the gaps and the
@@ -675,13 +730,13 @@ def _scattered_points(n: int) -> TimeScale:
 
 def test_operator_refuses_row_blocks_over_the_cap(monkeypatch):
     # 1.2e6 scattered points share no row block: 37500 distinct blocks of
-    # about 1.7 kB a node need 1.94 GiB, refused under a 1 GiB cap before
+    # about 1.5 kB a node need 1.73 GiB, refused under a 1 GiB cap before
     # any block is built
     monkeypatch.setattr(fractional, "DENSE_CAP", 2**30)
     grid = build_grid(_scattered_points(1_200_000), 1.0)
     tracemalloc.start()
     try:
-        with pytest.raises(OperatorTooLarge, match=r"needs 1\.94 GiB of blocks, above the 1 GiB"):
+        with pytest.raises(OperatorTooLarge, match=r"needs 1\.73 GiB of blocks, above the 1 GiB"):
             frac_integral_operator(grid, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -690,13 +745,14 @@ def test_operator_refuses_row_blocks_over_the_cap(monkeypatch):
 
 
 def test_fragmented_operator_holds_its_error_budget_in_bytes():
-    # row blocks of 32 and McLean's step of 0.25: a 600-component
-    # fragmented scale's operator holds under 6.2 MB (8.1 MB at blocks of
-    # 64 and step 0.2), with its kernel error still under 1.5e-15
+    # row blocks of 32, McLean's step of 0.25 and the slow terms folded
+    # into a Gauss rule: a 600-component fragmented scale's operator holds
+    # 5.06 MB, 2 % allowed (5.85 MB with no fold, 8.1 MB at blocks of 64 and
+    # step 0.2), with its kernel error still under 1.5e-15
     grid = build_grid(fragmented_scale(np.random.default_rng(1), 600), 0.005)
     summary = KernelOperator(grid, 0.5).to_json()
     assert summary["distinct_blocks"] == summary["row_blocks"] == -(-len(grid) // ROW_BLOCK)
-    assert summary["bytes"] < 6_200_000
+    assert summary["bytes"] < 5_163_000
     assert 0.0 < summary["eps"] < 1.5e-15
 
 

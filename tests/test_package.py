@@ -35,9 +35,16 @@ def test_package_exports_every_library_module_name():
 
 
 # a child that builds operators on a fragmented grid and on the mixed scale
-# of long uniform intervals, and prints every module it imported on the way
+# of long uniform intervals, with every public numpy.linalg function made to
+# raise, and prints every module it imported on the way
 _OPERATOR_IMPORTS = """
 import sys
+import numpy.linalg
+def refuse(*args, **kwargs):
+    raise AssertionError("numpy.linalg called")
+for name in numpy.linalg.__all__:
+    if callable(getattr(numpy.linalg, name)) and not isinstance(getattr(numpy.linalg, name), type):
+        setattr(numpy.linalg, name, refuse)
 from chronofrac import TimeScale, build_grid, frac_integral_operator
 comps = [(0.07 * k, 0.07 * k + (0.04 if k % 2 else 0.0)) for k in range(300)]
 op = frac_integral_operator(build_grid(TimeScale(tuple(comps)), 0.002), 0.3)
@@ -52,7 +59,7 @@ print(" ".join(sys.modules))
 def test_operator_imports_neither_scipy_nor_numpy_polynomial():
     # NumPy is the only dependency, and numpy.polynomial costs 6-10 ms
     # of import in every CLI call that would touch it; no operator takes
-    # an FFT either
+    # an FFT either, nor a LAPACK call, whose first use pages OpenBLAS in
     proc = subprocess.run(
         [sys.executable, "-c", _OPERATOR_IMPORTS], capture_output=True, text=True, check=True
     )
