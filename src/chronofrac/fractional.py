@@ -288,17 +288,17 @@ def _soe(beta: float, delta: float, span: float) -> tuple[np.ndarray, np.ndarray
     the 1e-15 or so by which the sum rounds, which sets ``eps``, so a finer
     step would only add terms.
 
-    The slow terms, ``sigma = s span <= theta = FOLD_SIGMA``, become the
+    The slow terms, ``sigma = s span <= S = FOLD_SIGMA``, become the
     ``k = FOLD_POINTS`` point Gauss rule of their measure ``mu`` in sigma
     (Golub & Welsch 1969): positive nodes and weights, exact for
     ``sigma**j``, j < 2k.  On ``g = exp(-sigma t / span)`` it errs by
     ``g^(2k)(xi) / (2k)! int pi_k**2 dmu``, with ``|g^(2k)| <= 1`` for
-    ``t <= span`` and, as the monic Chebyshev polynomial on [0, theta] is at
-    most ``2 (theta / 4)**k``, ``int pi_k**2 dmu <= 4 (theta / 4)**(2k) mu``.
-    ``mu`` is within 20 % of ``(theta / span)**(1 - beta) / (gamma(beta)
+    ``t <= span`` and, as the monic Chebyshev polynomial on [0, S] is at
+    most ``2 (S / 4)**k``, ``int pi_k**2 dmu <= 4 (S / 4)**(2k) mu``.
+    ``mu`` is within 20 % of ``(S / span)**(1 - beta) / (gamma(beta)
     gamma(2 - beta))``, so over the kernel the error is at most
-    ``4.8 theta**(1 - beta) (theta / 4)**(2k) / (gamma(2 - beta) (2k)!)``,
-    2.3e-19 at theta = 1 and k = 7.  ``mu`` depends on beta alone, up to
+    ``4.8 S**(1 - beta) (S / 4)**(2k) / (gamma(2 - beta) (2k)!)``,
+    2.3e-19 at S = 1 and k = 7.  ``mu`` depends on beta alone, up to
     the factor ``span**(beta - 1)``, so the rule is cached per order.
     """
     log_s, w = _trapezoid(beta, span, math.log(50.0 * span / delta) + 1.0)

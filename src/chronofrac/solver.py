@@ -60,10 +60,10 @@ LANE_BYTES = 2**17
 class ProblemSpec:
     """Full description of one thermistor problem instance.
 
-    ``h_max`` defaults to the window length divided by 512.  ``theta`` is
-    the damping weight of the Picard update ``(1 - theta) u + theta K(u)``;
-    ``theta = 1`` is the undamped iteration.  Picard stops once
-    ``|K(u) - u| <= tol``, at every ``theta``.
+    ``h_max`` defaults to the window length divided by 512.  Picard
+    iterates ``u <- K(u)`` and stops once ``|K(u) - u| <= tol``, or after
+    ``max_iter`` steps.  A bool is no number here, and an integral
+    ``max_iter`` is kept as an ``int``, so ``to_json`` always round-trips.
     """
 
     timescale: TimeScale
@@ -73,10 +73,12 @@ class ProblemSpec:
     h_max: float | None = None
     tol: float = 1e-10
     max_iter: int = 200
-    theta: float = 1.0
     bounds: Bounds = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "lam", "h_max", "tol", "max_iter"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not a bool")
         if not 0.0 < self.alpha < 0.5:
             raise ValueError("alpha must lie in (0, 0.5)")
         if not 0.0 <= self.lam < math.inf:
@@ -85,8 +87,7 @@ class ProblemSpec:
             raise ValueError("tol must be positive and finite")
         if not (1 <= self.max_iter < math.inf and int(self.max_iter) == self.max_iter):
             raise ValueError("max_iter must be an integer >= 1")
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError("theta must lie in (0, 1]")
+        object.__setattr__(self, "max_iter", int(self.max_iter))
         if self.h_max is None:
             object.__setattr__(self, "h_max", self.span / DEFAULT_CELLS)
         if not 0.0 < self.h_max < math.inf:
@@ -114,7 +115,6 @@ class ProblemSpec:
             "h_max": self.h_max,
             "tol": self.tol,
             "max_iter": self.max_iter,
-            "theta": self.theta,
         }
 
 
@@ -136,9 +136,13 @@ def problem_from_json(data: dict) -> ProblemSpec:
         "lam": json_number(need("lambda"), "field 'lambda'"),
         "model": model,
     }
-    for key in ("h_max", "tol", "theta"):
+    for key in ("h_max", "tol"):
         if data.get(key) is not None:
             kwargs[key] = json_number(data[key], f"field '{key}'")
+    # Picard runs undamped: an old config still loads if its "theta" is 1
+    theta = data.get("theta")
+    if theta is not None and json_number(theta, "field 'theta'") != 1.0:
+        raise ValueError("field 'theta' was removed: Picard runs undamped, so it may only be 1")
     max_iter = data.get("max_iter")
     if max_iter is not None:
         if isinstance(max_iter, float) and max_iter.is_integer():
@@ -264,13 +268,11 @@ def apply_K(spec: ProblemSpec, u: GridFunction) -> GridFunction:
 
 
 def _contraction(spec: ProblemSpec, eps: float) -> tuple[float, float, float] | None:
-    """``None`` unless ``q < 1``, when the damped update contracts with
-    ``q_theta = 1 - theta + theta q``: then ``q_theta``, the gap ``theta (1 - q)``,
-    which a small ``theta`` cannot round to zero, and ``eps * sup``, how far a
-    kernel error ``eps`` moves ``K(u)``."""
-    q, theta = spec.bounds.q, spec.theta
+    """``None`` unless ``K`` contracts, ``q < 1``: then ``q``, the gap
+    ``1 - q`` and ``eps * sup``, how far a kernel error ``eps`` moves ``K(u)``."""
+    q = spec.bounds.q
     if q < 1.0:
-        return 1.0 - theta + theta * q, theta * (1.0 - q), eps * spec.bounds.sup
+        return q, 1.0 - q, eps * spec.bounds.sup
     return None
 
 
@@ -280,7 +282,7 @@ class SolveReport:
 
     ``spec`` is the problem solved, at its own ``lam``.  ``trace[k]`` is the
     sup-norm update size at iteration ``k + 1``, and ``apriori_bound`` the
-    error bound ``(q_theta * trace[-1] + eps * sup) / (1 - q_theta)`` against
+    error bound ``(q * trace[-1] + eps * sup) / (1 - q)`` against
     the fixed point of the exact-kernel operator, present only when ``q < 1``.
     ``operator`` is the kernel operator's ``to_json()``, with ``eps`` its far
     field's kernel error.  ``solution.csv``, not ``to_json``, holds the solution.
@@ -313,7 +315,7 @@ class SolveReport:
 
 
 def picard_solve(spec: ProblemSpec, u0: GridFunction | None = None) -> SolveReport:
-    """Iterate the damped solution operator to a fixed point.
+    """Iterate the solution operator, ``u <- K(u)``, to a fixed point.
 
     Starts from ``u0`` (default: identically zero) and stops when
     ``|K(u) - u|`` drops to ``tol`` or ``max_iter`` is exhausted; the
@@ -382,10 +384,9 @@ def _run_batch(
     """The reports of ``batch``, its lanes run from ``start`` by ``op``.  The
     lanes' ``u`` are the leading rows of one array, in order, beside one
     workspace for every apply: ``f(u)`` goes into its window, ``K(u)`` into
-    its image, and each lane that stays copies its update into its row.  A
+    its image, and each lane that stays copies its image into its row.  A
     frame of its own, so the batch's arrays go before the next's."""
-    theta, lanes = spec.theta, batch
-    stop = spec.tol * theta  # the damped step is theta |K(u) - u|
+    lanes = batch
     ws = _Workspace(op, len(batch))
     # u takes the workspace's padded layout, so that each elementwise step
     # runs once over whole contiguous blocks: NumPy copies an operand of
@@ -408,26 +409,20 @@ def _run_batch(
                 lane.report = _report(spec, lane, ws.nodes(um)[i], ku[i], op)
             else:
                 rows.append(i)
-        # the damped update and the steps |nxt - u| go in place: into K(u),
-        # which no lane reads again, and into the padded samples, free after
-        # the apply, where a scratch buffer of their own would cost one more
-        # lane
-        nxt, diff = image, fu
-        if theta != 1.0:
-            nxt *= theta
-            nxt += np.multiply(um, 1.0 - theta, out=diff)
-        np.abs(np.subtract(nxt, um, out=diff), out=diff)
+        # the steps |K(u) - u| go into the padded samples, free after the
+        # apply, where a scratch buffer of their own would cost one more lane
+        np.abs(np.subtract(image, um, out=fu), out=fu)
         steps = np.max(ws.window[:m], axis=1).tolist()
         for i in rows:
             lane = lanes[i]
             lane.trace.append(steps[i])
-            if steps[i] <= stop:
+            if steps[i] <= spec.tol:
                 lane.converged = True
             elif len(lane.trace) == spec.max_iter:
                 lane.converged = False
-        # the staying lanes' updates become their u, in the leading rows, in order
+        # the staying lanes' images become their u, in the leading rows, in order
         for j, i in enumerate(rows):
-            u[j] = nxt[i]
+            u[j] = image[i]
         lanes = [lanes[i] for i in rows]
     return [lane.report for lane in batch]
 
@@ -437,8 +432,8 @@ def _report(spec: ProblemSpec, lane: _Lane, u: np.ndarray, ku: np.ndarray, op: K
     on ``spec``'s grid, through the kernel operator ``op``."""
     apriori = None
     if contraction := _contraction(lane.spec, op.eps):
-        q_theta, gap, kernel = contraction
-        apriori = (q_theta * lane.trace[-1] + kernel) / gap
+        q, gap, kernel = contraction
+        apriori = (q * lane.trace[-1] + kernel) / gap
     return SolveReport(
         spec=lane.spec,
         solution=GridFunction(spec.grid, u),
@@ -502,10 +497,9 @@ def existence_diagnostics(spec: ProblemSpec, report: SolveReport) -> ExistenceDi
     Three checks: the sup norm against ``sup``, the increments over
     every adjacent node pair and every pair ``(t0, t_j)`` with the first
     node against the equicontinuity modulus, and the residual against the
-    fixed-point bound ``(tol theta (1 + q_theta) + eps * sup) / (1 - q_theta)``
-    of the damped update, with ``eps`` the report's kernel error.  When
-    ``q >= 1`` no contraction bounds the residual: its bound is ``inf`` and
-    the check fails.
+    fixed-point bound ``(tol (1 + q) + eps * sup) / (1 - q)``, with ``eps``
+    the report's kernel error.  When ``q >= 1`` no contraction bounds the
+    residual: its bound is ``inf`` and the check fails.
     The modulus applies exactly to operator images; the solution is one
     only up to the residual, so both checks carry that slack plus a
     rounding allowance.
@@ -537,8 +531,8 @@ def existence_diagnostics(spec: ProblemSpec, report: SolveReport) -> ExistenceDi
 
     bnd_res = math.inf
     if contraction := _contraction(spec, report.operator["eps"]):
-        q_theta, gap, kernel = contraction
-        bnd_res = (spec.tol * spec.theta * (1.0 + q_theta) + kernel) / gap + allowance
+        q, gap, kernel = contraction
+        bnd_res = (spec.tol * (1.0 + q) + kernel) / gap + allowance
     res_check = DiagnosticCheck(
         name="residual",
         passed=contraction is not None and report.residual <= bnd_res,

@@ -233,19 +233,39 @@ def test_solve_strict_flags_non_convergence(tmp_path, capsys):
     cfg = write_config(tmp_path, stuck)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "soft")]) == 0
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "hard"), "--strict"]) == 3
-    err = capsys.readouterr().err
-    assert "non-convergence is fatal" in err
+    captured = capsys.readouterr()
+    assert "non-convergence is fatal" in captured.err
+    assert captured.out.count("did not converge in 3 iterations") == 2
     report = json.loads((tmp_path / "hard" / "report.json").read_text())
     assert report["converged"] is False
 
 
-def test_strict_solve_exits_three_when_damping_stalls(tmp_path, capsys):
-    # at theta = 1e-9 each damped step moves u by 1e-9 |K(u) - u|: that
-    # step passed tol at once, and the run reported convergence at
-    # max u = 1.4e-11; stopping on |K(u) - u| itself leaves it unconverged
-    cfg = write_config(tmp_path, {**README_PROBLEM, "h_max": 0.01, "theta": 1e-9})
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out"), "--strict"]) == 3
-    assert "did not converge in 200 iterations" in capsys.readouterr().out
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_an_undamped_theta_still_loads_and_any_other_is_refused(tmp_path, capsys, command):
+    # Picard runs undamped: "theta": 1 names the iteration every run makes,
+    # so it changes no output byte.  Any other value asks for a damped
+    # update that does not exist, and as unknown keys are ignored it would
+    # run undamped unnoticed, so it fails in one line
+    problem = {**AFFINE_PROBLEM, "sweep": SWEEP}
+
+    def run(name, extra):
+        cfg = write_config(tmp_path, {**problem, **extra}, f"{name}.json")
+        return main([command, "--config", cfg, "--out", str(tmp_path / name)])
+
+    assert run("plain", {}) == 0
+    files = sorted(path.name for path in (tmp_path / "plain").iterdir())
+    for name, theta in (("int", 1), ("float", 1.0)):
+        assert run(name, {"theta": theta}) == 0
+        for file in files:
+            assert (tmp_path / name / file).read_bytes() == (tmp_path / "plain" / file).read_bytes()
+    assert len(set(capsys.readouterr().out.splitlines())) == 1
+    for theta in (0.5, 1.5, 0):
+        assert run(f"refused-{theta}", {"theta": theta}) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / f"refused-{theta}").exists()
+        assert captured.err == (
+            "error: field 'theta' was removed: Picard runs undamped, so it may only be 1\n"
+        )
 
 
 # -- threshold -------------------------------------------------------------
@@ -450,13 +470,13 @@ README_PROBLEM = {
 
 
 def test_sweep_lanes_write_the_rows_of_single_solves(tmp_path):
-    # twice the lanes and three more multipliers, damped and from lambda = 0:
-    # three batches, where lanes that hit max_iter run beside lanes that
-    # converge, and every row is its single solve's, in lambda order
+    # twice the lanes and three more multipliers, from lambda = 0: three
+    # batches, where lanes that hit max_iter run beside lanes that converge
+    # (in 1 or in 16 to 19 iterations), and every row is its single
+    # solve's, in lambda order
     problem = {
         **README_PROBLEM,
-        "theta": 0.5,
-        "max_iter": 45,
+        "max_iter": 17,
         "conductivity": {"family": "bounded_rational", "c1": 1.0, "c2": 3.0, "scale": 0.5},
     }
     spec = problem_from_json(problem)

@@ -645,10 +645,10 @@ FOLD_ORDERS = [0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.
 
 @pytest.mark.parametrize("beta", FOLD_ORDERS)
 def test_folded_terms_keep_the_moments_of_the_terms_they_replace(beta):
-    # the Gauss rule of the terms with s span <= FOLD_SIGMA is exact for
+    # the Gauss rule of the terms with s span <= S = FOLD_SIGMA is exact for
     # sigma**j, j < 2k, on their discrete measure; its nodes lie inside the
     # folded range and, like its weights, are positive; and its error bound
-    # 4 (theta / 4)**(2k) mu gamma(beta) / (2k)!, over the kernel at span,
+    # 4 (S / 4)**(2k) mu gamma(beta) / (2k)!, over the kernel at span,
     # is under 1e-17
     m, nodes, weights = _fold(beta)
     log_sigma, w = _trapezoid(beta, 1.0, 1.0)

@@ -85,16 +85,22 @@ def sweep_spec(**kw) -> ProblemSpec:
         ({"lam": -0.1}, "lambda must be nonnegative"),
         ({"tol": 0.0}, "tol must be positive"),
         ({"max_iter": 0}, "max_iter must be an integer >= 1"),
-        ({"theta": 0.0}, "theta must lie in"),
-        ({"theta": 1.5}, "theta must lie in"),
+        ({"lam": True}, "lam must be a number, not a bool"),
+        ({"tol": True}, "tol must be a number, not a bool"),
         ({"h_max": -1.0}, "h_max must be positive"),
         ({"alpha": math.nan}, "alpha must lie in"),
         ({"lam": math.nan}, "lambda must be nonnegative and finite"),
         ({"lam": math.inf}, "lambda must be nonnegative and finite"),
         ({"tol": math.nan}, "tol must be positive and finite"),
         ({"max_iter": math.inf}, "max_iter must be an integer >= 1"),
-        ({"theta": math.nan}, "theta must lie in"),
+        ({"max_iter": True}, "max_iter must be a number, not a bool"),
         ({"h_max": math.inf}, "h_max must be positive and finite"),
+        # a bool would pass every range check as 1 or 0, and to_json would
+        # write it as true, which problem_from_json refuses
+        ({"h_max": True}, "h_max must be a number, not a bool"),
+        ({"alpha": np.True_}, "alpha must be a number, not a bool"),
+        ({"max_iter": np.True_}, "max_iter must be a number, not a bool"),
+        ({"max_iter": 2.5}, "max_iter must be an integer >= 1"),
     ],
 )
 def test_problem_rejections(kw, msg):
@@ -129,14 +135,19 @@ def test_problem_defaults():
     assert spec.h_max == 1.0 / 512
     assert spec.tol == 1e-10
     assert spec.max_iter == 200
-    assert spec.theta == 1.0
     assert len(spec.grid.nodes) == 513
 
 
 def test_problem_json_round_trip():
-    spec = canonical_spec(0.05, h_max=0.01, tol=1e-8, max_iter=50, theta=0.5)
-    back = problem_from_json(json.loads(json.dumps(spec.to_json())))
-    assert back.to_json() == spec.to_json()
+    # an integral max_iter of any numeric type is kept as an int, so its
+    # JSON is an integer: json.dumps raises on NumPy's int64, and a stored
+    # 50.0 would be written as 50.0
+    for max_iter in (50, 50.0, np.int64(50), np.float64(50.0)):
+        spec = canonical_spec(0.05, h_max=0.01, tol=1e-8, max_iter=max_iter)
+        assert type(spec.max_iter) is int and spec.max_iter == 50
+        back = problem_from_json(json.loads(json.dumps(spec.to_json())))
+        assert back.to_json() == spec.to_json()
+        assert back == spec
 
 
 def test_problem_from_json_errors():
@@ -401,20 +412,10 @@ def test_picard_exhausts_iterations_without_raising():
     assert report.apriori_bound is None  # q > 1 gives no contraction bound
 
 
-def test_picard_damped_reaches_same_fixed_point():
-    lam = 0.05
-    plain = picard_solve(canonical_spec(lam, h_max=1.0 / 128))
-    damped = picard_solve(canonical_spec(lam, h_max=1.0 / 128, theta=0.5))
-    assert damped.converged
-    assert damped.iterations > plain.iterations
-    gap = np.abs(damped.solution.to_array() - plain.solution.to_array())
-    assert float(np.max(gap)) <= 1e-9
-
-
-@pytest.mark.parametrize("theta", [1.0, 0.5, 0.1])
-def test_damped_picard_certificates_hold(theta):
-    # the damped update (1 - theta) u + theta K(u) contracts only with
-    # q_theta = 1 - theta + theta q, so both certificates must use q_theta
+def test_picard_certificates_hold_on_random_mixed_scales():
+    # at half the threshold the solve's a priori bound covers its distance
+    # to a solve at tol = 1e-15 (up to that solve's own bound), and its
+    # residual passes the diagnostics, on an interval and on random scales
     rng = np.random.default_rng(17)
     scales = [TimeScale.interval(0.0, 1.0)] + [make_scale(rng) for _ in range(3)]
     for ts in scales:
@@ -424,32 +425,17 @@ def test_damped_picard_certificates_hold(theta):
             lam=1.0,
             model=BoundedRational(c1=1.0, c2=2.0, scale=0.5),
             h_max=(ts.T - ts.t0) / 128,
-            theta=theta,
             max_iter=2000,
         )
         spec = replace(base, lam=0.5 * base.bounds.lambda_star)
         report = picard_solve(spec)
-        reference = picard_solve(replace(spec, theta=1.0, tol=1e-15))
+        reference = picard_solve(replace(spec, tol=1e-15))
         assert report.converged and reference.converged
         assert report.spec.bounds.q == spec.bounds.q
         err = float(np.max(np.abs(report.solution.values - reference.solution.values)))
         assert err <= report.apriori_bound + reference.apriori_bound
         checks = {c.name: c for c in existence_diagnostics(spec, report).checks}
         assert checks["residual"].passed
-
-
-@pytest.mark.parametrize("theta,max_iter", [(0.5, 200), (0.1, 2000), (1e-3, 20000), (1e-9, 200)])
-def test_damped_picard_stops_on_the_residual(theta, max_iter):
-    # the damped step is theta |K(u) - u|, so stopping once it is below tol
-    # held the residual only to tol / theta: at theta = 1e-9 the first step
-    # from zero passed, at max u = 1.4e-11 against the fixed point's 0.0136
-    spec = readme_spec(theta=theta, max_iter=max_iter)
-    report = picard_solve(spec)
-    q = spec.bounds.q
-    assert report.converged == (theta >= 1e-3)
-    if report.converged:
-        assert report.residual <= spec.tol * (1.0 + q) / (1.0 - q)
-        assert existence_diagnostics(spec, report).passed
 
 
 def test_picard_custom_start_and_grid_check():
@@ -468,7 +454,8 @@ def test_sweep_batches_yield_the_lone_reports_in_order():
     # lambda = 0, which converges at once from zero; the batches after it
     # run descending multipliers.  Every report, from a custom start too,
     # is the one its lone solve gives, in the order asked
-    spec = canonical_spec(0.05, h_max=1.0 / 480, theta=0.5, max_iter=45)
+    # lambda = 40 needs 22 iterations and every other multiplier at most 20
+    spec = canonical_spec(0.05, h_max=1.0 / 480, max_iter=21)
     width = solver.LANE_BYTES // (8 * len(spec.grid))
     # 16 row blocks: the lanes step the history sums of blocks 1 to 15 in
     # chunks of DECAY_CHUNK decays, a whole chunk and then a short one
@@ -565,7 +552,7 @@ def test_warm_lane_steps_allocate_no_lane_buffer(monkeypatch):
 
 
 def _one_step_from_zero(spec: ProblemSpec) -> tuple[bytes, float]:
-    """What one undamped Picard step from zero must report, by ``apply_K``:
+    """What one Picard step from zero must report, by ``apply_K``:
     the bytes of ``K(0)`` and the residual ``max |K(K(0)) - K(0)|``."""
     k0 = apply_K(spec, GridFunction.zeros(spec.grid))
     kk0 = apply_K(spec, k0)
@@ -575,7 +562,7 @@ def _one_step_from_zero(spec: ProblemSpec) -> tuple[bytes, float]:
 @pytest.mark.parametrize("scale", ["mixed", "fragmented", "discrete"])
 def test_apply_k_is_the_picard_loops_k_bit_for_bit(scale):
     # apply_K and the Picard loop's batch are separate code paths to K(u).
-    # At theta = 1 one step from zero stops at u = K(0), and the report's
+    # One step from zero stops at u = K(0), and the report's
     # residual is one more apply: both must be apply_K's, byte for byte
     rng = np.random.default_rng(11)
     if scale == "mixed":
@@ -711,7 +698,7 @@ def test_diagnostics_of_a_sweep_report_build_no_second_grid():
     [
         ({"lam": 5.0}, "equicontinuity"),
         ({"alpha": 0.3}, "equicontinuity"),
-        ({"theta": 0.5}, "residual"),
+        ({"max_iter": 200}, "residual"),
         ({"tol": 1e-2}, "residual"),
     ],
 )
