@@ -12,7 +12,7 @@ from importlib import resources
 from pathlib import Path
 from typing import NoReturn
 
-from .fractional import OperatorTooLarge, frac_integral, gamma_fn, verify_composition
+from .fractional import OperatorTooLarge, frac_integral, verify_composition
 from .oracles import (
     OracleCase,
     closed_form_power_integral,
@@ -21,7 +21,6 @@ from .oracles import (
     load_suite,
 )
 from .solver import Bounds, ProblemSpec, apply_K, picard_solve, picard_sweep, problem_from_json
-from .conductivity import ClampedAffine, model_from_json
 from .timescale import GridFunction, GridTooLarge, TimeScale, build_grid, json_number
 
 EXIT_OK = 0
@@ -221,18 +220,6 @@ def _apply_k(params) -> float:
     return apply_K(spec, GridFunction.zeros(spec.grid)).value_at(float(params["t"]))
 
 
-def _sup_bound(params) -> float:
-    spec = ProblemSpec(
-        timescale=TimeScale.interval(0.0, float(params["T"])),
-        alpha=float(params["alpha"]),
-        lam=float(params["lambda"]),
-        model=ClampedAffine(
-            base=float(params["c1"]), slope=1.0, lo=float(params["c1"]), hi=float(params["c2"])
-        ),
-    )
-    return spec.bounds.sup
-
-
 def _constant_solution(params) -> float:
     spec = problem_from_json(params["problem"])
     rep = picard_solve(spec)
@@ -254,14 +241,16 @@ def _extension_inequality(params) -> float:
 
 # the production-path quantity each kind of oracle case pins down
 _CASE_KINDS = {
-    "gamma": lambda params: gamma_fn(float(params["x"])),
+    "gamma": lambda params: math.gamma(float(params["x"])),
     "power_integral": _power_integral,
     "discrete_integral": _discrete_integral,
     "apply_k": _apply_k,
     "threshold": lambda params: Bounds.of(
         *(float(params[k]) for k in ("alpha", "T", "c1", "c2", "lipschitz"))
     ).lambda_star,
-    "sup_bound": _sup_bound,
+    "sup_bound": lambda params: Bounds.of(
+        *(float(params[k]) for k in ("alpha", "T", "c1", "c2")), 1.0, float(params["lambda"])
+    ).sup,
     "constant_solution": _constant_solution,
     "power_closed_form": lambda params: closed_form_power_integral(
         *(float(params[k]) for k in ("alpha", "beta", "t"))

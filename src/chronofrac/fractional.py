@@ -28,7 +28,6 @@ __all__ = [
     "CompositionReport",
     "KernelOperator",
     "OperatorTooLarge",
-    "gamma_fn",
     "kernel_weights",
     "frac_integral",
     "frac_integral_all",
@@ -37,18 +36,6 @@ __all__ = [
     "frac_derivative_all",
     "verify_composition",
 ]
-
-
-def gamma_fn(x: float) -> float:
-    """Euler gamma function on the positive half line.
-
-    Delegates to the platform implementation (Lanczos-class accuracy,
-    relative error well below 1e-13 on (0, 30]).  Nonpositive arguments
-    are rejected: the operators here never evaluate at the poles.
-    """
-    if x <= 0:
-        raise ValueError("gamma_fn requires x > 0")
-    return math.gamma(x)
 
 
 def _alpha_of(order: float) -> float:
@@ -622,10 +609,8 @@ def frac_integral(g: GridFunction, order: float, t: float) -> float:
     ``gamma(alpha)``.  The value at the first node is exactly zero.
     Evaluates one weight row and builds no operator.
     """
-    grid = g.grid
-    i = grid.index_of(t)
-    row = _weights(grid.nodes[: i + 1], grid.gap_after, _alpha_of(order), i, i + 1)[0]
-    return float(row @ g.values[: i + 1])
+    i = g.grid.index_of(t)
+    return float(kernel_weights(g.grid, order, t)[: i + 1] @ g.values[: i + 1])
 
 
 def frac_integral_all(g: GridFunction, order: float) -> np.ndarray:

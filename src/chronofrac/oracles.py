@@ -53,6 +53,14 @@ def _discrete_points(ts: TimeScale) -> list[float]:
     return points
 
 
+def _point_index(points: list[float], t: float) -> int:
+    """Index of the first point within 1e-12 of ``t``."""
+    for i, p in enumerate(points):
+        if abs(p - t) <= 1e-12:
+            return i
+    raise ValueError(f"t={t!r} is not a point of the time scale")
+
+
 def brute_force_discrete(
     ts: TimeScale, values: Sequence[float], alpha: float, t: float
 ) -> float:
@@ -67,13 +75,7 @@ def brute_force_discrete(
     points = _discrete_points(ts)
     if len(values) != len(points):
         raise ValueError("value count must match point count")
-    it = None
-    for i, p in enumerate(points):
-        if abs(p - t) <= 1e-12:
-            it = i
-            break
-    if it is None:
-        raise ValueError(f"t={t!r} is not a point of the time scale")
+    it = _point_index(points, t)
     total = 0.0
     for i in range(it):
         mu = points[i + 1] - points[i]
@@ -91,13 +93,7 @@ def brute_force_discrete_derivative(
     sum of order ``1 - alpha``.
     """
     points = _discrete_points(ts)
-    it = None
-    for i, p in enumerate(points):
-        if abs(p - t) <= 1e-12:
-            it = i
-            break
-    if it is None:
-        raise ValueError(f"t={t!r} is not a point of the time scale")
+    it = _point_index(points, t)
     if it == len(points) - 1:
         raise ValueError("the last point has no forward neighbor")
     f_here = brute_force_discrete(ts, values, 1.0 - alpha, points[it])

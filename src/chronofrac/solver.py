@@ -26,7 +26,7 @@ from itertools import islice
 import numpy as np
 
 from .conductivity import ConductivityModel, model_from_json
-from .fractional import KernelOperator, _Workspace, frac_integral_operator, gamma_fn
+from .fractional import KernelOperator, _Workspace, frac_integral_operator
 from .timescale import SNAP, Grid, GridFunction, TimeScale, build_grid, json_number
 
 __all__ = [
@@ -185,7 +185,7 @@ class Bounds:
         """The constants for window length ``span`` and conductivity constants
         ``(c1, c2, lipschitz)``; ``ValueError`` if any overflows at ``lam = 1``."""
         try:
-            g = gamma_fn(2.0 * alpha + 1.0)
+            g = math.gamma(2.0 * alpha + 1.0)
 
             def at(lam: float) -> tuple[float, ...]:  # terms, sup, modulus, numerator
                 return (
@@ -252,16 +252,27 @@ def apply_K(spec: ProblemSpec, u: GridFunction) -> GridFunction:
     """One application of the solution operator to a sampled profile.
 
     The result starts at exactly zero (the fractional integral over the
-    empty window) and is nonnegative whenever ``lam >= 0``.
+    empty window) and is nonnegative whenever ``lam >= 0``.  The one-lane
+    case of the Picard loop's K step, ``_images``, in a workspace of its own.
     """
     _check_grid(spec, u)
-    fv = spec.model.apply(u.values)
-    ku = frac_integral_operator(spec.grid, 2.0 * spec.alpha).apply(fv)
-    ku *= spec.lam
-    # squared as a Python float by libm's pow, as each Picard lane is: on
-    # random floats pow(x, 2) differs from x * x about once in a thousand
-    ku /= spec.grid.window_integral(fv) ** 2
-    return GridFunction(spec.grid, ku)
+    ws = _Workspace(frac_integral_operator(spec.grid, 2.0 * spec.alpha), 1)
+    spec.model._apply_into(u.values, ws.window[0])
+    return GridFunction(spec.grid, _images(spec, ws, [spec.lam])[0])
+
+
+def _images(spec: ProblemSpec, ws: _Workspace, lams: list[float]) -> np.ndarray:
+    """``K(u)`` at the multipliers ``lams`` for the first ``len(lams)`` lanes
+    of ``ws``, whose ``window`` holds their ``f(u)``: an (m, n) view of its
+    image.  The one K step of ``apply_K`` and of ``_run_batch``."""
+    m = len(lams)
+    # squared as Python floats, by libm's pow: on random floats pow(x, 2)
+    # differs from x * x about once in a thousand
+    den = np.array([w**2 for w in spec.grid.window_integral(ws.window[:m]).tolist()])
+    ku = ws.apply(m)
+    ku *= np.array(lams)[:, None]
+    ku /= den[:, None]
+    return ku
 
 
 # -- Picard iteration ------------------------------------------------------
@@ -383,9 +394,10 @@ def _run_batch(
 ) -> list:
     """The reports of ``batch``, its lanes run from ``start`` by ``op``.  The
     lanes' ``u`` are the leading rows of one array, in order, beside one
-    workspace for every apply: ``f(u)`` goes into its window, ``K(u)`` into
-    its image, and each lane that stays copies its image into its row.  A
-    frame of its own, so the batch's arrays go before the next's."""
+    workspace for every apply: ``f(u)`` goes into its window, ``_images``
+    puts ``K(u)`` into its image, and each lane that stays copies its image
+    into its row.  ``picard_sweep`` calls it once a batch, in a frame of its
+    own, so the batch's arrays go before the next's."""
     lanes = batch
     ws = _Workspace(op, len(batch))
     # u takes the workspace's padded layout, so that each elementwise step
@@ -397,12 +409,7 @@ def _run_batch(
         m = len(lanes)
         um, fu, image = u[:m], ws.gp[:m], ws.image[:m]
         spec.model._apply_into(um, fu)
-        # squared as Python floats, by libm's pow as a lone lane always was: on
-        # random floats pow(x, 2) differs from x * x about once in a thousand
-        den = np.array([w**2 for w in spec.grid.window_integral(ws.window[:m]).tolist()])
-        ku = ws.apply(m)
-        ku *= np.array([lane.spec.lam for lane in lanes])[:, None]
-        ku /= den[:, None]
+        ku = _images(spec, ws, [lane.spec.lam for lane in lanes])
         rows = []
         for i, lane in enumerate(lanes):
             if lane.converged is not None:

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 import subprocess
@@ -96,3 +97,25 @@ def test_a_failing_property_prints_its_falsifying_example(tmp_path):
     out = proc.stdout + proc.stderr
     assert proc.returncode == 1, out
     assert "Falsifying example" in out and "INTERNALERROR" not in out
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports at module level and never references."""
+    tree = ast.parse(path.read_text())
+    imported = [
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_each_module_references_every_name_it_imports():
+    src = Path(chronofrac.__file__).parent
+    modules = sorted(p for p in src.glob("*.py") if p.name != "__init__.py")
+    assert len(modules) > 5
+    for path in modules:
+        assert _unused_imports(path) == [], path.name
