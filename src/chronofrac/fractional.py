@@ -47,23 +47,28 @@ def _alpha_of(order: float) -> float:
 
 
 # Rows of the kernel operator go in blocks of this height.  A distinct block
-# holds (B + 1)(B + N) + BN floats for N far-field terms, and its near field,
-# B + 1 floats a row, is about half zeros.  Against 64, 32 took the seed-0
+# holds B(B + 3)/2 + (2B + 1)N floats for N far-field terms: of its near
+# field's B + 1 columns, row r reaches r + 2.  Against 64, 32 took the seed-0
 # fragmented operator from 8.1 to 5.9 MB at N = 66, at the same apply time
-# (the Gauss fold of _soe then took N to 55 and it to 5.1 MB); 16 saved
-# 0.4 MB more but applied about 30 % slower.
+# (the Gauss fold of _soe then took N to 55 and it to 5.1 MB, holding only
+# the near field's kept entries to 4.6 MB); 16 saved 0.4 MB more but
+# applied about 30 % slower.
 ROW_BLOCK = 32
 # ulps of the node magnitude by which two row blocks' node offsets may differ
 # and the blocks still share their arrays
 UNIFORM_ULPS = 16
 DENSE_CAP = 2 * 2**30  # bytes of row blocks above which an operator is refused
-# entries per pass of _moments, which holds about a dozen temporaries of this
-# size: 2**16 raised the peak memory of a fragmented-grid solve by 5 MiB
+# entries per pass of _moments and (row, cell) pairs per pass of _near, each
+# of which holds about a dozen temporaries of this size: 2**16 raised the
+# peak memory of a fragmented-grid solve by 5 MiB
 CHUNK = 2**14
 # row blocks whose decays a workspace of several lanes repeats at once: on
 # the 2504-node sweep-lambda grid (79 row blocks, 63 terms) 8 of them take
 # a fifth of a (6, n) buffer, where all 79 would take two
 DECAY_CHUNK = 8
+# row blocks of near field an apply unpacks at a time: on the fragmented
+# grid a scratch of 32, 16 or 8 of them added 0.08, 0.10 or 0.16 ms an apply
+NEAR_CHUNK = 16
 
 
 class OperatorTooLarge(ValueError):
@@ -129,6 +134,19 @@ def _hat_weights(a, b, h, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return m0, m1
 
 
+def _pair_weights(a, b, h, jump, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right weights of cells of width ``h`` that start ``a`` and
+    end ``b`` before the row (both 0 past it), the cells flagged on the
+    last axis of ``jump`` scattered: one graininess-weighted kernel term."""
+    left, right = _hat_weights(a, b, h, alpha)
+    inv_gamma = 1.0 / math.gamma(alpha)
+    aj = a[..., jump]
+    with np.errstate(divide="ignore"):
+        left[..., jump] = np.where(aj > 0.0, aj ** (alpha - 1.0), 0.0) * h[jump] * inv_gamma
+    right[..., jump] = 0.0
+    return left, right
+
+
 def _weights(x, gaps, alpha: float, r0: int, r1: int) -> np.ndarray:
     """Read-only weights of rows [r0, r1) at every column of ``x``, in one
     pass over the cells left of row ``r1 - 1``."""
@@ -139,14 +157,7 @@ def _weights(x, gaps, alpha: float, r0: int, r1: int) -> np.ndarray:
     h = xk - xj
     a = np.maximum(xi - xj, 0.0)
     b = np.maximum(xi - xk, 0.0)
-    left, right = _hat_weights(a, b, h, alpha)
-    # a scattered cell of width h is one graininess-weighted kernel term
-    inv_gamma = 1.0 / math.gamma(alpha)
-    jump = np.flatnonzero(gaps[:m])
-    aj = a[:, jump]
-    with np.errstate(divide="ignore"):
-        left[:, jump] = np.where(aj > 0.0, aj ** (alpha - 1.0), 0.0) * h[jump] * inv_gamma
-    right[:, jump] = 0.0
+    left, right = _pair_weights(a, b, h, gaps[:m], alpha)
     # allocated after _hat_weights returns, so never beside its temporaries
     w = np.zeros((r1 - r0, len(x)))
     w[:, :m] += left
@@ -156,6 +167,48 @@ def _weights(x, gaps, alpha: float, r0: int, r1: int) -> np.ndarray:
     np.maximum(w, 0.0, out=w)
     w.setflags(write=False)
     return w
+
+
+@lru_cache(maxsize=1)
+def _kept() -> tuple[np.ndarray, np.ndarray]:
+    """Row and column, in a row block's (B, B + 1) near field, of each entry
+    it keeps, row by row: row r reaches columns 0 ... r + 1, so B(B + 3)/2
+    of the (B + 1)B entries.  Built on first use, not at import."""
+    B = ROW_BLOCK
+    row = np.array([r for r in range(B) for _ in range(r + 2)])
+    col = np.array([c for r in range(B) for c in range(r + 2)])
+    for a in (row, col):
+        a.setflags(write=False)
+    return row, col
+
+
+def _near(x, gaps, alpha: float, firsts: np.ndarray) -> np.ndarray:
+    """The kept entries of the near field of each row block ``k`` of
+    ``firsts``, (G, B(B + 3)/2) in ``_kept``'s order: the weights of rows
+    [b0, b1) at columns [b0 - 1, b1) from the cells b0 - 1 ... i - 1 of
+    each row i, the same values as ``_weights`` on the nodes cut at b0 - 1.
+    Each pass takes whole blocks, up to ``CHUNK`` (row, cell) pairs."""
+    B, n = ROW_BLOCK, len(x)
+    row, col = _kept()
+    # the entry at (r, c <= r) takes cell c's left weight, the next entry
+    # its right one
+    pair = np.flatnonzero(col <= row)
+    near = np.zeros((len(firsts), len(row)))
+    flat = near.reshape(-1)
+    step = max(CHUNK // len(pair), 1)
+    for g in range(0, len(firsts), step):
+        b0 = firsts[g : g + step, None] * B
+        i, j = b0 + row[pair], b0 - 1 + col[pair]
+        ok = (i < n) & (j >= 0)
+        i, j = i[ok], j[ok]
+        at = (np.arange(g, g + len(b0))[:, None] * len(row) + pair)[ok]
+        xj = x[j]
+        left, right = _pair_weights(x[i] - xj, x[i] - x[j + 1], x[j + 1] - xj, gaps[j], alpha)
+        # the order of _weights' sums: 0 + left, then + right
+        flat[at] += left
+        flat[at + 1] += right
+    np.maximum(near, 0.0, out=near)
+    return near
 
 
 SOE_STEP = 0.25  # the trapezoidal step in McLean's variable x
@@ -389,7 +442,7 @@ def _row_groups(x: np.ndarray, gaps: np.ndarray) -> tuple[np.ndarray, float]:
 def _block_bytes(distinct: int, row_blocks: int, terms: int) -> int:
     """Bytes of an operator's ``near``, ``expo``, ``moments`` and ``decay``."""
     B = ROW_BLOCK
-    return 8 * (distinct * ((B + 1) * (B + terms) + B * terms) + row_blocks * terms)
+    return 8 * (distinct * (B * (B + 3) // 2 + (2 * B + 1) * terms) + row_blocks * terms)
 
 
 class KernelOperator:
@@ -399,7 +452,8 @@ class KernelOperator:
     ``(t_i - s)**(alpha - 1) / gamma(alpha)``; the matrix is lower
     triangular and row 0 is empty.  Rows go in blocks of ``ROW_BLOCK``.
     The cells inside a row block and the one before it keep their exact
-    weights (``near``).  Every earlier cell, across every gap, enters
+    weights (``near``), each row only at the columns it reaches, in
+    ``_kept``'s order.  Every earlier cell, across every gap, enters
     through N history sums at the node before the block, carried on over
     the whole grid: ``H <- decay H + moments g``, read out by ``expo``, in
     O(nN) memory and time.  Blocks of equal geometry share ``near``,
@@ -437,20 +491,14 @@ class KernelOperator:
             )
         # distinct arrays g come from the first block k that reads them
         firsts = np.flatnonzero(np.diff(group, prepend=-1))
+        # first, so that its passes' temporaries never sit beside the rest
+        self.near = _near(x, gaps, alpha, firsts)
         self.moments = _moments(x, gaps, s, firsts)
         # expo reads the sums at the node before the block from each of its
         # rows; block 0 has no sums, and rows past the grid read none
         r = firsts[:, None] * B + np.arange(B)
         self.expo = _decays(x[np.minimum(r, n - 1)] - x[np.maximum(r[:, :1] - 1, 0)], s, w)
         self.expo[(r >= n) | (r < B)] = 0.0
-        # the near field of block k takes columns [b0 - 1, b1), the first
-        # from cell b0 - 1 alone: the nodes are cut there so no earlier cell adds
-        self.near = np.zeros((distinct, B, B + 1))
-        for g, k in enumerate(firsts.tolist()):
-            b0 = k * B
-            b1, lo = min(b0 + B, n), max(b0 - 1, 0)
-            block = _weights(x[lo:b1], gaps[lo:b1], alpha, b0 - lo, b1 - lo)
-            self.near[g, : b1 - b0, lo - b0 + 1 : b1 - b0 + 1] = block
         # decay[k] carries the sums from the node before block k - 1 to the
         # one before block k; block 1 starts them, so it needs none
         self.decay = np.zeros((len(group), terms))
@@ -529,8 +577,11 @@ class _Workspace:
     decays of ``DECAY_CHUNK`` row blocks at a time, repeated once per lane,
     so that each step of several lanes runs over contiguous (m, N) blocks: a
     broadcast step costs more than the step itself.  One lane steps by the
-    operator's own decays and has no ``decay``.  The result goes in
-    ``image``, at the samples' columns; each ``apply`` writes over them.
+    operator's own decays and has no ``decay``.  ``near`` takes the
+    operator's packed near field of up to ``NEAR_CHUNK`` row blocks at a
+    time, unpacked to (B, B + 1) blocks whose other entries stay zero.  The
+    result goes in ``image``, at the samples' columns; each ``apply``
+    writes over them.
     """
 
     def __init__(self, op: KernelOperator, width: int):
@@ -540,6 +591,10 @@ class _Workspace:
         self.window = self.nodes(self.gp)
         self.hist = np.zeros((nb + 1, width, terms))
         self.decay = np.empty((DECAY_CHUNK, width, terms)) if width > 1 else None
+        run = max(1 if shared else k1 - k0 for k0, k1, _, shared in op.runs)
+        self.near = np.zeros((min(run, NEAR_CHUNK), ROW_BLOCK, ROW_BLOCK + 1))
+        row, col = _kept()
+        self.kept = row * (ROW_BLOCK + 1) + col
         self.image = np.zeros_like(self.gp)
 
     def nodes(self, rows: np.ndarray) -> np.ndarray:
@@ -571,23 +626,38 @@ class _Workspace:
                 decay = repeated
             for d, prev, h in zip(decay, hist[k - 1 :], hist[k:]):
                 h += d * prev
-        op._per_block(op.near, gw, image[:, 1:].reshape(m, nb, B))
+        self._near_step(gw, image[:, 1:].reshape(m, nb, B))
         # the far field's part goes into the windows, which are read by now,
         # at the same columns as the near field's; column 0 stays zero
         op._per_block(op.expo, hist[:nb].transpose(1, 0, 2), gw[..., 1:])
         image += gp
         return self.nodes(image)
 
+    def _near_step(self, v: np.ndarray, out: np.ndarray) -> None:
+        """``op._per_block(near, v, out)`` for the dense near field: each
+        run's blocks are unpacked into ``near`` and make the same calls."""
+        op, dense, kept = self.op, self.near, self.kept
+        flat = dense.reshape(len(dense), -1)
+        for k0, k1, g, shared in op.runs:
+            if shared:
+                flat[0, kept] = op.near[g]
+                np.matmul(v[:, k0:k1], dense[0].T, out=out[:, k0:k1])
+                continue
+            for c0 in range(k0, k1, len(dense)):
+                c1 = min(c0 + len(dense), k1)
+                flat[: c1 - c0, kept] = op.near[g + c0 - k0 : g + c1 - k0]
+                np.vecdot(dense[: c1 - c0], v[:, c0:c1, None, :], out=out[:, c0:c1])
+
 
 @lru_cache(maxsize=4)
 def frac_integral_operator(grid: Grid, order: float) -> KernelOperator:
     """Operator mapping node samples to fractional-integral values, cached
     per (grid, order).  The cap ``DENSE_CAP`` counts the row blocks, so the
-    4 cached operators hold at most 8 GiB of blocks beside their grids; a
-    4350-node fragmented grid takes 4.9 MiB, a 20000-point discrete scale
-    24 MiB and a 5004-node grid of two uniform intervals 0.24 MiB.  Raises
-    ``OperatorTooLarge`` before allocating any block when the blocks would
-    pass the cap."""
+    4 cached operators hold at most 8 GiB of blocks beside their grids; at
+    order 0.5 a 4350-node fragmented grid takes 4.3 MiB, a 20000-point
+    discrete scale 22 MiB and a 5004-node grid of two uniform intervals
+    0.22 MiB.  Raises ``OperatorTooLarge`` before allocating any block when
+    the blocks would pass the cap."""
     return KernelOperator(grid, _alpha_of(order))
 
 

@@ -29,9 +29,10 @@ __all__ = [
 # grid nodes, so boundary lookups never miss by a rounding error.
 SNAP = 1e-12
 # Most nodes ``build_grid`` lays down.  The kernel operator's row blocks
-# hold about 1.2 kB per node where no two blocks are alike (4.9 MiB at 4350
-# fragmented nodes), so ``fractional.DENSE_CAP`` binds near 1.4 million
-# such nodes; uniform intervals share their blocks and stay under this cap.
+# hold about 1 kB per node where no two blocks are alike (4.3 MiB at 4350
+# fragmented nodes), 1.4 kB on a million scattered points, whose far field
+# takes more terms, so ``fractional.DENSE_CAP`` binds near 1.5 million such
+# nodes; uniform intervals share their blocks and stay under this cap.
 MAX_NODES = 5_000_000
 
 

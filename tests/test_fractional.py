@@ -386,7 +386,7 @@ def test_operator_matrix_cached_and_read_only():
     arrays = [a for a in _reachable(w1).values() if isinstance(a, np.ndarray)]
     assert arrays and all(not a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
-        w1.near[0, 0, 0] = 1.0
+        w1.near[0, 0] = 1.0
 
 
 def test_operator_arrays_reachable_without_closures():
@@ -444,6 +444,18 @@ def _reference_grids(rng):
 def _lattice_tol(x: np.ndarray) -> float:
     # the largest node-offset difference a shared row block may hide
     return fractional.UNIFORM_ULPS * np.finfo(float).eps * np.max(np.abs(x))
+
+
+def _unpack(near: np.ndarray) -> np.ndarray:
+    """(G, B, B + 1) blocks of a packed near field: row r of a block keeps
+    its columns 0 ... r + 1, laid out row after row from r(r + 3)/2."""
+    B = ROW_BLOCK
+    assert near.shape[1:] == (B * (B + 3) // 2,)
+    dense = np.zeros((len(near), B, B + 1))
+    for r in range(B):
+        at = r * (r + 3) // 2
+        dense[:, r, : r + 2] = near[:, at : at + r + 2]
+    return dense
 
 
 def _block_groups(op: KernelOperator) -> list[int]:
@@ -555,7 +567,7 @@ def test_row_blocks_share_arrays_of_equal_geometry():
         assert len(group) == len(op.decay) == -(-n // B)
         assert group[0] == 0 and group[-1] == len(op.near) - 1
         assert all(b - a in (0, 1) for a, b in zip(group, group[1:]))
-        first, dev = {}, 0.0
+        first, dev, near = {}, 0.0, _unpack(op.near)
         for k, g in enumerate(group):
             b0, b1 = k * B, min(k * B + B, n)
             lo = max(b0 - 1, 0)
@@ -581,10 +593,58 @@ def test_row_blocks_share_arrays_of_equal_geometry():
                 fractional._decays(x[b0:b1] - x[b0 - 1], s, w),
                 _block_moments(x, gaps, s, b0, b1),
             )
-            for held, mine in zip((op.near[g], op.expo[g], op.moments[g]), own):
+            for held, mine in zip((near[g], op.expo[g], op.moments[g]), own):
                 assert np.max(np.abs(held - mine)) <= 1e-12 * np.max(mine)
         assert op.lattice_dev == dev
     assert shared
+
+
+def _dense_near(x, gaps, alpha, firsts):
+    """The near field as a (B, B + 1) block per distinct row block, one
+    ``_weights`` call a block on the nodes cut at b0 - 1, so that no cell
+    before it adds: the construction before the near field was packed."""
+    B, n = ROW_BLOCK, len(x)
+    near = np.zeros((len(firsts), B, B + 1))
+    for g, k in enumerate(firsts):
+        b0 = k * B
+        b1, lo = min(b0 + B, n), max(b0 - 1, 0)
+        block = _weights(x[lo:b1], gaps[lo:b1], alpha, b0 - lo, b1 - lo)
+        near[g, : b1 - b0, lo - b0 + 1 : b1 - b0 + 1] = block
+    return near
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.75, 0.95])
+def test_packed_near_field_is_the_dense_blocks_kept_half(alpha):
+    # on mixed, fragmented, discrete, one-row-block and partial-last-block
+    # grids, the packed near field unpacks to the dense per-block weights
+    # bit for bit, and those have no nonzero outside the kept columns
+    rng = np.random.default_rng(int(alpha * 100))
+    B = ROW_BLOCK
+    grids = [build_grid(make_scale(rng), 0.01) for _ in range(3)]
+    grids += [
+        build_grid(fragmented_scale(rng, 120), 0.005),
+        build_grid(TimeScale.from_points(np.cumsum(rng.uniform(0.05, 1.5, 300)).tolist()), 1.0),
+        build_grid(TimeScale.interval(0.0, 1.0), 1.0 / 20),
+        build_grid(TimeScale(((0.0, 0.5), (0.7, 0.7), (1.0, 1.3))), 1.0 / 64),
+        build_grid(TimeScale.interval(0.0, 1.0), 1.0 / (4 * B - 1)),
+    ]
+    sizes = [len(grid) for grid in grids]
+    assert min(sizes) <= B and any(size % B for size in sizes if size > B)
+    r = np.arange(B)
+    kept = np.arange(B + 1) <= r[:, None] + 1
+    first_column = diagonal = 0
+    for grid in grids:
+        x, gaps = grid.nodes, grid.gap_after
+        op = KernelOperator(grid, alpha)
+        group = _block_groups(op)
+        firsts = [group.index(g) for g in range(len(op.near))]
+        dense = _dense_near(x, gaps, alpha, firsts)
+        assert not dense[:, ~kept].any()
+        assert _unpack(op.near).tobytes() == dense.tobytes()
+        # the two columns each row adds to the lower triangle are not all zero
+        first_column += np.count_nonzero(dense[:, :, 0])
+        diagonal += np.count_nonzero(dense[:, r, r + 1])
+    assert first_column and diagonal
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
@@ -724,13 +784,13 @@ def _scattered_points(n: int) -> TimeScale:
 
 def test_operator_refuses_row_blocks_over_the_cap(monkeypatch):
     # 1.2e6 scattered points share no row block: 37500 distinct blocks of
-    # about 1.5 kB a node need 1.73 GiB, refused under a 1 GiB cap before
+    # about 1.4 kB a node need 1.59 GiB, refused under a 1 GiB cap before
     # any block is built
     monkeypatch.setattr(fractional, "DENSE_CAP", 2**30)
     grid = build_grid(_scattered_points(1_200_000), 1.0)
     tracemalloc.start()
     try:
-        with pytest.raises(OperatorTooLarge, match=r"needs 1\.73 GiB of blocks, above the 1 GiB"):
+        with pytest.raises(OperatorTooLarge, match=r"needs 1\.59 GiB of blocks, above the 1 GiB"):
             frac_integral_operator(grid, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -739,14 +799,23 @@ def test_operator_refuses_row_blocks_over_the_cap(monkeypatch):
 
 
 def test_fragmented_operator_holds_its_error_budget_in_bytes():
-    # row blocks of 32, McLean's step of 0.25 and the slow terms folded
-    # into a Gauss rule: a 600-component fragmented scale's operator holds
-    # 5.06 MB, 2 % allowed (5.85 MB with no fold, 8.1 MB at blocks of 64 and
-    # step 0.2), with its kernel error still under 1.5e-15
+    # row blocks of 32, McLean's step of 0.25, the slow terms folded into a
+    # Gauss rule and only the near field's kept half held: a 600-component
+    # fragmented scale's operator holds 4.53 MB, 2 % allowed (5.06 MB with
+    # the near field dense, 5.85 MB with no fold either, 8.1 MB at blocks
+    # of 64 and step 0.2), with its kernel error still under 1.5e-15; the
+    # near field is built before the rest, so the build peaks at most
+    # 0.25 MiB above what it holds (0.23 MiB here)
     grid = build_grid(fragmented_scale(np.random.default_rng(1), 600), 0.005)
-    summary = KernelOperator(grid, 0.5).to_json()
+    tracemalloc.start()
+    try:
+        summary = KernelOperator(grid, 0.5).to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= summary["bytes"] + 0.25 * 2**20
     assert summary["distinct_blocks"] == summary["row_blocks"] == -(-len(grid) // ROW_BLOCK)
-    assert summary["bytes"] < 5_163_000
+    assert summary["bytes"] < 4_617_000
     assert 0.0 < summary["eps"] < 1.5e-15
 
 
@@ -796,7 +865,7 @@ def test_discrete_scale_of_20000_points_builds_in_linear_memory():
 def test_discrete_scale_of_1e5_points_shares_between_its_holes():
     # the integers with 30 holes: a hole changes at most the two row blocks
     # whose cells hold it and starts one new group after them, so the
-    # operator holds under 128 bytes a node, against 1.5 kB unshared
+    # operator holds under 128 bytes a node, against 1.4 kB unshared
     rng = np.random.default_rng(19)
     holes = rng.choice(np.arange(1, 100_029), 30, replace=False)
     pts = np.delete(np.arange(100_030.0), holes)
