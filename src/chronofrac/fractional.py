@@ -48,11 +48,10 @@ def _alpha_of(order: float) -> float:
 
 # Rows of the kernel operator go in blocks of this height.  A distinct block
 # holds B(B + 3)/2 + (2B + 1)N floats for N far-field terms: of its near
-# field's B + 1 columns, row r reaches r + 2.  Against 64, 32 took the seed-0
-# fragmented operator from 8.1 to 5.9 MB at N = 66, at the same apply time
-# (the Gauss fold of _soe then took N to 55 and it to 5.1 MB, holding only
-# the near field's kept entries to 4.6 MB); 16 saved 0.4 MB more but
-# applied about 30 % slower.
+# field's B + 1 columns, row r reaches r + 2.  So near-field bytes grow like
+# B**2 and an apply's calls like n / B: against 64, 32 made the fragmented
+# operator smaller at the same apply time, and 16 smaller still but applied
+# about 30 % slower.
 ROW_BLOCK = 32
 # ulps of the node magnitude by which two row blocks' node offsets may differ
 # and the blocks still share their arrays
@@ -62,10 +61,6 @@ DENSE_CAP = 2 * 2**30  # bytes of row blocks above which an operator is refused
 # of which holds about a dozen temporaries of this size: 2**16 raised the
 # peak memory of a fragmented-grid solve by 5 MiB
 CHUNK = 2**14
-# row blocks whose decays a workspace of several lanes repeats at once: on
-# the 2504-node sweep-lambda grid (79 row blocks, 63 terms) 8 of them take
-# a fifth of a (6, n) buffer, where all 79 would take two
-DECAY_CHUNK = 8
 # row blocks of near field an apply unpacks at a time: on the fragmented
 # grid a scratch of 32, 16 or 8 of them added 0.08, 0.10 or 0.16 ms an apply
 NEAR_CHUNK = 16
@@ -170,16 +165,14 @@ def _weights(x, gaps, alpha: float, r0: int, r1: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _kept() -> tuple[np.ndarray, np.ndarray]:
-    """Row and column, in a row block's (B, B + 1) near field, of each entry
-    it keeps, row by row: row r reaches columns 0 ... r + 1, so B(B + 3)/2
-    of the (B + 1)B entries.  Built on first use, not at import."""
+def _kept() -> np.ndarray:
+    """Flat index, in a row block's (B, B + 1) near field, of each entry it
+    keeps, row by row: row r reaches columns 0 ... r + 1, so B(B + 3)/2 of
+    the (B + 1)B entries.  Built on first use, not at import."""
     B = ROW_BLOCK
-    row = np.array([r for r in range(B) for _ in range(r + 2)])
-    col = np.array([c for r in range(B) for c in range(r + 2)])
-    for a in (row, col):
-        a.setflags(write=False)
-    return row, col
+    kept = np.array([r * (B + 1) + c for r in range(B) for c in range(r + 2)])
+    kept.setflags(write=False)
+    return kept
 
 
 def _near(x, gaps, alpha: float, firsts: np.ndarray) -> np.ndarray:
@@ -189,7 +182,7 @@ def _near(x, gaps, alpha: float, firsts: np.ndarray) -> np.ndarray:
     each row i, the same values as ``_weights`` on the nodes cut at b0 - 1.
     Each pass takes whole blocks, up to ``CHUNK`` (row, cell) pairs."""
     B, n = ROW_BLOCK, len(x)
-    row, col = _kept()
+    row, col = divmod(_kept(), B + 1)
     # the entry at (r, c <= r) takes cell c's left weight, the next entry
     # its right one
     pair = np.flatnonzero(col <= row)
@@ -530,17 +523,6 @@ class KernelOperator:
             "lattice_dev": self.lattice_dev,
         }
 
-    def _per_block(self, a: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out[:, k] = a[group[k]] @ v[:, k]`` for every row block k and
-        lane: each lane makes the calls a lone lane would, so lanes agree
-        bit for bit with separate applies."""
-        for k0, k1, g, shared in self.runs:
-            if shared:
-                np.matmul(v[:, k0:k1], a[g].T, out=out[:, k0:k1])
-            else:
-                np.vecdot(a[g : g + k1 - k0], v[:, k0:k1, None, :], out=out[:, k0:k1])
-        return out
-
     def apply(self, g: np.ndarray) -> np.ndarray:
         """The product ``W @ g``: the fractional integral at every node.
 
@@ -548,10 +530,9 @@ class KernelOperator:
         lanes, lanes first.  Row i of the result is lane i's integral,
         bit-identical to applying the operator to that lane alone.  Each
         call allocates a workspace for its lanes: the padded samples, the
-        history sums, past one lane the decays of ``DECAY_CHUNK`` row blocks
-        repeated per lane, and the result.  A Picard batch allocates one and
-        reuses it in every apply, which then allocates nothing at the size of
-        its lanes.
+        history sums, a scratch of near-field blocks and the result.  A
+        Picard batch allocates one and reuses it in every apply, which then
+        allocates nothing at the size of its lanes.
         """
         n = self.n
         if np.shape(g)[-1:] != (n,):
@@ -573,15 +554,10 @@ class _Workspace:
     samples go in ``window[i]``, the nodes of row i of ``gp``; ``apply``
     zeroes the other columns, so a caller may run an elementwise step over
     the whole rows.  ``hist[k]`` holds the N history sums at the node before
-    row block k; ``hist[0]`` stays zero.  ``decay`` takes the operator's
-    decays of ``DECAY_CHUNK`` row blocks at a time, repeated once per lane,
-    so that each step of several lanes runs over contiguous (m, N) blocks: a
-    broadcast step costs more than the step itself.  One lane steps by the
-    operator's own decays and has no ``decay``.  ``near`` takes the
-    operator's packed near field of up to ``NEAR_CHUNK`` row blocks at a
-    time, unpacked to (B, B + 1) blocks whose other entries stay zero.  The
-    result goes in ``image``, at the samples' columns; each ``apply``
-    writes over them.
+    row block k; ``hist[0]`` stays zero.  ``near`` takes the operator's
+    packed near field of up to ``NEAR_CHUNK`` row blocks at a time, unpacked
+    to (B, B + 1) blocks whose other entries stay zero.  The result goes in
+    ``image``, at the samples' columns; each ``apply`` writes over them.
     """
 
     def __init__(self, op: KernelOperator, width: int):
@@ -590,11 +566,8 @@ class _Workspace:
         self.gp = np.zeros((width, nb * ROW_BLOCK + 1))
         self.window = self.nodes(self.gp)
         self.hist = np.zeros((nb + 1, width, terms))
-        self.decay = np.empty((DECAY_CHUNK, width, terms)) if width > 1 else None
         run = max(1 if shared else k1 - k0 for k0, k1, _, shared in op.runs)
         self.near = np.zeros((min(run, NEAR_CHUNK), ROW_BLOCK, ROW_BLOCK + 1))
-        row, col = _kept()
-        self.kept = row * (ROW_BLOCK + 1) + col
         self.image = np.zeros_like(self.gp)
 
     def nodes(self, rows: np.ndarray) -> np.ndarray:
@@ -614,39 +587,36 @@ class _Workspace:
         gw = np.ndarray((m, nb, B + 1), float, gp, 0, (gp.strides[0], 8 * B, 8))
         # block k's moments go to hist[k + 1], and each step adds the sums
         # before block k, carried on by its decay
-        op._per_block(op.moments, gw, hist[1:].transpose(1, 0, 2))
-        # several lanes by a chunk of decays at a time, one lane by all the
-        # operator's own at once
-        step = DECAY_CHUNK if m > 1 else nb
-        for k in range(1, nb, step):
-            decay = op.decay[k : k + step, None]
-            if m > 1:
-                repeated = self.decay[: len(decay), :m]
-                repeated[...] = decay
-                decay = repeated
-            for d, prev, h in zip(decay, hist[k - 1 :], hist[k:]):
-                h += d * prev
-        self._near_step(gw, image[:, 1:].reshape(m, nb, B))
+        self._per_block(lambda g0, g1: op.moments[g0:g1], nb, gw, hist[1:].transpose(1, 0, 2))
+        for d, prev, h in zip(op.decay[1:, None], hist[: nb - 1], hist[1:nb]):
+            h += d * prev
+        self._per_block(self._unpack, len(self.near), gw, image[:, 1:].reshape(m, nb, B))
         # the far field's part goes into the windows, which are read by now,
         # at the same columns as the near field's; column 0 stays zero
-        op._per_block(op.expo, hist[:nb].transpose(1, 0, 2), gw[..., 1:])
+        sums = hist[:nb].transpose(1, 0, 2)
+        self._per_block(lambda g0, g1: op.expo[g0:g1], nb, sums, gw[..., 1:])
         image += gp
         return self.nodes(image)
 
-    def _near_step(self, v: np.ndarray, out: np.ndarray) -> None:
-        """``op._per_block(near, v, out)`` for the dense near field: each
-        run's blocks are unpacked into ``near`` and make the same calls."""
-        op, dense, kept = self.op, self.near, self.kept
-        flat = dense.reshape(len(dense), -1)
-        for k0, k1, g, shared in op.runs:
+    def _per_block(self, blocks, most: int, v: np.ndarray, out: np.ndarray) -> None:
+        """``out[:, k] = a[group[k]] @ v[:, k]`` for every row block k and
+        lane, where ``blocks(g0, g1)`` gives the dense ``a[g0:g1]`` of up to
+        ``most`` blocks at a time: each lane makes the calls a lone lane
+        would, so lanes agree bit for bit with separate applies."""
+        for k0, k1, g, shared in self.op.runs:
             if shared:
-                flat[0, kept] = op.near[g]
-                np.matmul(v[:, k0:k1], dense[0].T, out=out[:, k0:k1])
+                np.matmul(v[:, k0:k1], blocks(g, g + 1)[0].T, out=out[:, k0:k1])
                 continue
-            for c0 in range(k0, k1, len(dense)):
-                c1 = min(c0 + len(dense), k1)
-                flat[: c1 - c0, kept] = op.near[g + c0 - k0 : g + c1 - k0]
-                np.vecdot(dense[: c1 - c0], v[:, c0:c1, None, :], out=out[:, c0:c1])
+            for c0 in range(k0, k1, most):
+                c1 = min(c0 + most, k1)
+                a = blocks(g + c0 - k0, g + c1 - k0)
+                np.vecdot(a, v[:, c0:c1, None, :], out=out[:, c0:c1])
+
+    def _unpack(self, g0: int, g1: int) -> np.ndarray:
+        """The operator's near-field blocks [g0, g1), unpacked into ``near``."""
+        dense = self.near[: g1 - g0]
+        dense.reshape(g1 - g0, -1)[:, _kept()] = self.op.near[g0:g1]
+        return dense
 
 
 @lru_cache(maxsize=4)

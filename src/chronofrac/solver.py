@@ -46,13 +46,13 @@ __all__ = [
 
 DEFAULT_CELLS = 512
 # bytes of each (lanes, n) buffer of the Picard loop.  On the 2504-node
-# sweep-lambda grid a batch holds about five of them (u, and in its
-# workspace the padded samples, K(u), two for the 63 history sums and a
-# fifth of one for 8 row blocks' decays), and one batch peaks at 6.8 with
-# its reports: the lane count keeps the loop's memory fixed, as
-# fractional.CHUNK does for _moments.  On that grid (2-core Xeon) it gives
-# 6 lanes: the 24-lambda Picard went from 42 to 23 ms in process, for
-# 0.7 MiB of peak RSS; 8 to 13 lanes were no faster and cost up to 2.3 MiB
+# sweep-lambda grid a batch holds about 4.8 of them (u, and in its
+# workspace the padded samples, K(u) and 1.7 for the 52 history sums), and
+# one batch peaks at 6.3 with its reports: the lane count keeps the loop's
+# memory fixed, as fractional.CHUNK does for _moments.  On that grid (2-core
+# Xeon) it gives 6 lanes: the 24-lambda Picard went from 42 to 23 ms in
+# process, for 0.7 MiB of peak RSS; 8 to 13 lanes were no faster and cost up
+# to 2.3 MiB
 LANE_BYTES = 2**17
 
 

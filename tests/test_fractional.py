@@ -19,7 +19,6 @@ from chronofrac import (
     verify_composition,
 )
 from chronofrac.fractional import (
-    DECAY_CHUNK,
     FOLD_POINTS,
     FOLD_SIGMA,
     ROW_BLOCK,
@@ -518,11 +517,6 @@ def test_lanes_apply_bit_for_bit_as_lone_lanes():
         build_grid(TimeScale.interval(0.0, 1.0), 0.05),
     ]
     assert all(len(grid) % ROW_BLOCK for grid in grids)
-    # several lanes step the history sums of row blocks 1 to nb - 1
-    # DECAY_CHUNK blocks at a time: 9 blocks are one whole chunk, 8 one
-    # short chunk, and 11 and 19 end in a short one
-    steps = [-(-len(grid) // ROW_BLOCK) - 1 for grid in grids]
-    assert DECAY_CHUNK in steps and any(k > DECAY_CHUNK and k % DECAY_CHUNK for k in steps)
     shared = unshared = 0
     for grid in grids:
         op = KernelOperator(grid, float(rng.uniform(0.05, 0.95)))

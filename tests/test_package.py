@@ -119,3 +119,48 @@ def test_each_module_references_every_name_it_imports():
     assert len(modules) > 5
     for path in modules:
         assert _unused_imports(path) == [], path.name
+
+
+def _unread_names(src: Path) -> list[str]:
+    """Module-level constants, functions and classes, and private methods,
+    of the modules in ``src`` that no module reads, as a loaded name, an
+    attribute or an import, less the names each module's ``__all__`` exports."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = []
+    for name, tree in trees.items():
+        defined, exported = [], {"__all__"}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    f.name
+                    for f in node.body
+                    if isinstance(f, ast.FunctionDef)
+                    and f.name.startswith("_")
+                    and not f.name.endswith("__")
+                ]
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [t.id for t in targets if isinstance(t, ast.Name)]
+                defined += targets
+                if "__all__" in targets:
+                    exported.update(e.value for e in node.value.elts if isinstance(e, ast.Constant))
+        unread += [f"{name}: {d}" for d in defined if d not in read | exported]
+    return unread
+
+
+def test_every_module_level_name_and_private_method_is_read():
+    # a constant, function, class or _private method that nothing in the
+    # package reads, and that its module does not export, is dead code
+    src = Path(chronofrac.__file__).parent
+    assert _unread_names(src) == []

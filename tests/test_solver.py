@@ -30,7 +30,7 @@ from chronofrac import (
     solver,
 )
 from chronofrac.cli import _write_report
-from chronofrac.fractional import DECAY_CHUNK, ROW_BLOCK, _Workspace, _weights
+from chronofrac.fractional import ROW_BLOCK, _Workspace, _weights
 from chronofrac.oracles import constant_f_solution
 from conftest import fragmented_scale, make_scale
 
@@ -500,10 +500,6 @@ def test_sweep_batches_yield_the_lone_reports_in_order():
     # lambda = 40 needs 22 iterations and every other multiplier at most 20
     spec = canonical_spec(0.05, h_max=1.0 / 480, max_iter=21)
     width = solver.LANE_BYTES // (8 * len(spec.grid))
-    # 16 row blocks: the lanes step the history sums of blocks 1 to 15 in
-    # chunks of DECAY_CHUNK decays, a whole chunk and then a short one
-    steps = -(-len(spec.grid) // ROW_BLOCK) - 1
-    assert steps > DECAY_CHUNK and steps % DECAY_CHUNK
     lams = [40.0, 0.0] + [0.01 * k for k in range(2 * width + 3, 0, -1)]
     assert len(lams) == 2 * width + 5
     for u0 in (None, GridFunction.sample(spec.grid, lambda t: t)):
@@ -535,8 +531,8 @@ def test_a_lane_at_the_spec_multiplier_is_the_spec():
 
 def test_sweep_batch_applies_in_one_workspace():
     # 24 multipliers in 6 lanes of 2504 nodes, every report kept: the peak
-    # is 10.1 (lanes, n) buffers, the batch's u beside one workspace that
-    # repeats 8 row blocks' decays per lane, and the reports (NumPy 2.4.6)
+    # is 9.6 (lanes, n) buffers, the batch's u beside one workspace, and the
+    # reports (NumPy 2.4.6)
     spec = sweep_spec()
     n = len(spec.grid)
     width = solver.LANE_BYTES // (8 * n)
