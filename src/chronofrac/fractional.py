@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -56,7 +57,7 @@ ROW_BLOCK = 32
 # ulps of the node magnitude by which two row blocks' node offsets may differ
 # and the blocks still share their arrays
 UNIFORM_ULPS = 16
-DENSE_CAP = 2 * 2**30  # bytes of row blocks above which an operator is refused
+DENSE_CAP = 2 * 2**30  # bytes of distinct row blocks above which an operator is refused
 # entries per pass of _moments and (row, cell) pairs per pass of _near, each
 # of which holds about a dozen temporaries of this size: 2**16 raised the
 # peak memory of a fragmented-grid solve by 5 MiB
@@ -432,10 +433,10 @@ def _row_groups(x: np.ndarray, gaps: np.ndarray) -> tuple[np.ndarray, float]:
     return group, dev
 
 
-def _block_bytes(distinct: int, row_blocks: int, terms: int) -> int:
+def _block_bytes(distinct: int, terms: int) -> int:
     """Bytes of an operator's ``near``, ``expo``, ``moments`` and ``decay``."""
     B = ROW_BLOCK
-    return 8 * (distinct * (B * (B + 3) // 2 + (2 * B + 1) * terms) + row_blocks * terms)
+    return 8 * distinct * (B * (B + 3) // 2 + (2 * B + 2) * terms)
 
 
 class KernelOperator:
@@ -449,9 +450,10 @@ class KernelOperator:
     ``_kept``'s order.  Every earlier cell, across every gap, enters
     through N history sums at the node before the block, carried on over
     the whole grid: ``H <- decay H + moments g``, read out by ``expo``, in
-    O(nN) memory and time.  Blocks of equal geometry share ``near``,
-    ``expo`` and ``moments`` (``_row_groups``); ``lattice_dev``, the node
-    offset difference behind that, is not counted in ``eps``.
+    O(nN) time.  Blocks of equal geometry share ``near``, ``expo``,
+    ``moments`` and ``decay`` (``_row_groups``), so each array has a row
+    per distinct block; ``lattice_dev``, the node offset difference behind
+    that, is not counted in ``eps``.
 
     The sum's relative kernel error is at most ``eps`` (0 for one row
     block).  Every weight integrates the kernel against a nonnegative hat,
@@ -476,7 +478,7 @@ class KernelOperator:
             self.rates, self.weights, self.eps = np.empty(0), np.empty(0), 0.0
         s, w, terms = self.rates, self.weights, len(self.rates)
         distinct = int(group[-1]) + 1
-        need = _block_bytes(distinct, len(group), terms)
+        need = _block_bytes(distinct, terms)
         if need > DENSE_CAP:
             raise OperatorTooLarge(
                 f"the kernel operator on {n} nodes needs {need / 2**30:.3g} GiB "
@@ -490,13 +492,11 @@ class KernelOperator:
         # expo reads the sums at the node before the block from each of its
         # rows; block 0 has no sums, and rows past the grid read none
         r = firsts[:, None] * B + np.arange(B)
-        self.expo = _decays(x[np.minimum(r, n - 1)] - x[np.maximum(r[:, :1] - 1, 0)], s, w)
+        d = x[np.minimum(r, n - 1)] - x[np.maximum(r[:, :1] - 1, 0)]
+        self.expo = _decays(d, s, w)
         self.expo[(r >= n) | (r < B)] = 0.0
-        # decay[k] carries the sums from the node before block k - 1 to the
-        # one before block k; block 1 starts them, so it needs none
-        self.decay = np.zeros((len(group), terms))
-        ends = rows[1:] - 1
-        self.decay[2:] = np.exp(np.multiply.outer(x[ends - B] - x[ends], s))
+        # decay carries the sums from the node before a block to its last
+        self.decay = np.exp(np.multiply.outer(d[:, -1], -s))
         # runs of blocks: one set of arrays for all of them, or the blocks'
         # own consecutive sets
         starts = np.flatnonzero(np.diff(group, prepend=-1, append=-1)).tolist()
@@ -515,7 +515,7 @@ class KernelOperator:
         count, kernel error and lattice deviation: fixed by the grid and
         order, so equal run to run."""
         return {
-            "row_blocks": len(self.decay),
+            "row_blocks": self.runs[-1][1],
             "distinct_blocks": len(self.near),
             "bytes": sum(a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray)),
             "soe_terms": len(self.rates),
@@ -561,7 +561,7 @@ class _Workspace:
     """
 
     def __init__(self, op: KernelOperator, width: int):
-        nb, terms = len(op.decay), len(op.rates)
+        nb, terms = op.runs[-1][1], len(op.rates)
         self.op = op
         self.gp = np.zeros((width, nb * ROW_BLOCK + 1))
         self.window = self.nodes(self.gp)
@@ -577,7 +577,7 @@ class _Workspace:
     def apply(self, m: int) -> np.ndarray:
         """``W @ g`` for the first ``m`` lanes of ``window``, written into
         ``image``, as an (m, n) view of it."""
-        op, B, nb = self.op, ROW_BLOCK, len(self.op.decay)
+        op, B, nb = self.op, ROW_BLOCK, self.op.runs[-1][1]
         gp, hist, image = self.gp[:m], self.hist[:, :m], self.image[:m]
         gp[:, 0] = 0.0
         gp[:, op.n + 1 :] = 0.0
@@ -586,10 +586,12 @@ class _Workspace:
         # it than a lane's recurrence step takes
         gw = np.ndarray((m, nb, B + 1), float, gp, 0, (gp.strides[0], 8 * B, 8))
         # block k's moments go to hist[k + 1], and each step adds the sums
-        # before block k, carried on by its decay
+        # before block k, carried across it by its decay
         self._per_block(lambda g0, g1: op.moments[g0:g1], nb, gw, hist[1:].transpose(1, 0, 2))
-        for d, prev, h in zip(op.decay[1:, None], hist[: nb - 1], hist[1:nb]):
-            h += d * prev
+        for k0, k1, g, shared in op.runs:
+            rows = repeat(op.decay[g, None], k1 - k0) if shared else op.decay[g : g + k1 - k0, None]
+            for d, prev, h in zip(rows, hist[k0:k1], hist[k0 + 1 : k1 + 1]):
+                h += d * prev
         self._per_block(self._unpack, len(self.near), gw, image[:, 1:].reshape(m, nb, B))
         # the far field's part goes into the windows, which are read by now,
         # at the same columns as the near field's; column 0 stays zero
@@ -622,12 +624,12 @@ class _Workspace:
 @lru_cache(maxsize=4)
 def frac_integral_operator(grid: Grid, order: float) -> KernelOperator:
     """Operator mapping node samples to fractional-integral values, cached
-    per (grid, order).  The cap ``DENSE_CAP`` counts the row blocks, so the
-    4 cached operators hold at most 8 GiB of blocks beside their grids; at
-    order 0.5 a 4350-node fragmented grid takes 4.3 MiB, a 20000-point
-    discrete scale 22 MiB and a 5004-node grid of two uniform intervals
-    0.22 MiB.  Raises ``OperatorTooLarge`` before allocating any block when
-    the blocks would pass the cap."""
+    per (grid, order).  The cap ``DENSE_CAP`` counts the distinct row
+    blocks, so the 4 cached operators hold at most 8 GiB of blocks beside
+    their grids; at order 0.5 a 4350-node fragmented grid takes 4.3 MiB, a
+    20000-point discrete scale 22 MiB and a 5004-node grid of two uniform
+    intervals 0.16 MiB.  Raises ``OperatorTooLarge`` before allocating any
+    block when the blocks would pass the cap."""
     return KernelOperator(grid, _alpha_of(order))
 
 

@@ -547,9 +547,9 @@ def test_apply_refuses_samples_not_on_its_nodes(shape):
 
 def test_row_blocks_share_arrays_of_equal_geometry():
     # a row block reads the arrays of its group's first block: they are its
-    # own near field, decays and moments, to within the lattice deviation;
-    # and a block whose nodes and gaps repeat that first block's exactly
-    # always joins it
+    # own near field, decays, moments and history-sum decay, to within the
+    # lattice deviation; and a block whose nodes and gaps repeat that first
+    # block's exactly always joins it
     rng = np.random.default_rng(2024)
     B, shared = ROW_BLOCK, 0
     for grid in _reference_grids(rng):
@@ -558,7 +558,7 @@ def test_row_blocks_share_arrays_of_equal_geometry():
         op = KernelOperator(grid, alpha)
         s, w = op.rates, op.weights
         group = _block_groups(op)
-        assert len(group) == len(op.decay) == -(-n // B)
+        assert len(group) == -(-n // B) and len(op.decay) == len(op.near)
         assert group[0] == 0 and group[-1] == len(op.near) - 1
         assert all(b - a in (0, 1) for a, b in zip(group, group[1:]))
         first, dev, near = {}, 0.0, _unpack(op.near)
@@ -586,8 +586,9 @@ def test_row_blocks_share_arrays_of_equal_geometry():
                 _weights(x[lo:b1], gaps[lo:], alpha, b0 - lo, b1 - lo),
                 fractional._decays(x[b0:b1] - x[b0 - 1], s, w),
                 _block_moments(x, gaps, s, b0, b1),
+                np.exp(-s * (x[b1 - 1] - x[b0 - 1])),
             )
-            for held, mine in zip((near[g], op.expo[g], op.moments[g]), own):
+            for held, mine in zip((near[g], op.expo[g], op.moments[g], op.decay[g]), own):
                 assert np.max(np.abs(held - mine)) <= 1e-12 * np.max(mine)
         assert op.lattice_dev == dev
     assert shared
@@ -755,7 +756,7 @@ def test_mixed_scale_shares_its_row_blocks():
 
 def test_admission_estimate_equals_the_bytes_held():
     # the estimate made before any array is built is the bytes of the row
-    # blocks: distinct near, expo and moments, and one decay per block
+    # blocks: near, expo, moments and decay, each one row per distinct block
     rng = np.random.default_rng(3)
     grids = [
         build_grid(TimeScale(((0.0, 1.0), (1.5, 1.5), (2.0, 2.5))), 1.0 / 300),
@@ -767,7 +768,7 @@ def test_admission_estimate_equals_the_bytes_held():
         op = KernelOperator(grid, 0.3)
         summary = op.to_json()
         held = sum(a.nbytes for a in (op.near, op.expo, op.moments, op.decay))
-        need = _block_bytes(summary["distinct_blocks"], summary["row_blocks"], summary["soe_terms"])
+        need = _block_bytes(summary["distinct_blocks"], summary["soe_terms"])
         assert need == held
         assert summary["bytes"] == held + op.rates.nbytes + op.weights.nbytes
 
@@ -811,6 +812,40 @@ def test_fragmented_operator_holds_its_error_budget_in_bytes():
     assert summary["distinct_blocks"] == summary["row_blocks"] == -(-len(grid) // ROW_BLOCK)
     assert summary["bytes"] < 4_617_000
     assert 0.0 < summary["eps"] < 1.5e-15
+
+
+def test_million_node_uniform_operator_holds_each_array_once():
+    # [0, 1] at h = 1e-6: 31,251 row blocks, nearly all of one geometry; the
+    # operator holds one row of every array per distinct block, none per
+    # row block (18.6 MB when decay had a row per block)
+    grid = build_grid(TimeScale.interval(0.0, 1.0), 1e-6)
+    n = len(grid)
+    op = KernelOperator(grid, 0.5)
+    summary = op.to_json()
+    assert n == 1_000_001 and summary["row_blocks"] == 31_251
+    assert summary["bytes"] < 1_000_000
+    need = _block_bytes(summary["distinct_blocks"], summary["soe_terms"])
+    assert summary["bytes"] == need + op.rates.nbytes + op.weights.nbytes
+    g = np.random.default_rng(5).uniform(0.5, 2.0, n)
+    y = op.apply(g)
+    for i in (n // 3, n // 2, n - 2, n - 1):
+        ref = float(kernel_weights(grid, 0.5, grid.nodes[i]) @ g)
+        assert abs(y[i] - ref) <= 1e-12 * ref
+
+
+def test_long_shared_run_away_from_zero_matches_exact_rows():
+    # [1, 2] at h = 1e-5: one run of about 3,100 blocks shares one set of
+    # arrays, its decay row too, built on the run's first block; stepping
+    # the history sums by that one row does not drift along the run
+    grid = build_grid(TimeScale.interval(1.0, 2.0), 1e-5)
+    n = len(grid)
+    op = KernelOperator(grid, 0.5)
+    assert max(k1 - k0 for k0, k1, _, shared in op.runs if shared) > 3000
+    g = np.random.default_rng(6).uniform(0.5, 2.0, n)
+    y = op.apply(g)
+    for i in np.linspace(ROW_BLOCK + 1, n - 1, 9).astype(int).tolist():
+        ref = float(kernel_weights(grid, 0.5, grid.nodes[i]) @ g)
+        assert abs(y[i] - ref) <= 1e-12 * ref
 
 
 def test_unequal_long_intervals_build_in_memory_linear_in_n_terms():
@@ -869,7 +904,7 @@ def test_discrete_scale_of_1e5_points_shares_between_its_holes():
     summary = op.to_json()
     assert n == 100_000 and summary["distinct_blocks"] <= 3 * 30 + 3
     held = sum(a.nbytes for a in (op.near, op.expo, op.moments, op.decay))
-    need = _block_bytes(summary["distinct_blocks"], summary["row_blocks"], summary["soe_terms"])
+    need = _block_bytes(summary["distinct_blocks"], summary["soe_terms"])
     assert need == held and summary["bytes"] < 128 * n
     g = np.random.default_rng(2).uniform(0.5, 2.0, n)
     y = op.apply(g)
